@@ -1,8 +1,12 @@
 // Router benchmarks + ablations: A* vs Dijkstra search effort, the
 // preferred-direction penalty's effect on vias/quality, via-cost sweeps,
-// and multi-thread scaling of the negotiated-congestion router.
+// multi-thread scaling of the negotiated-congestion router, and the cost
+// of a single maze search (the kernel every router pass repeats).
 
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <vector>
 
 #include "gen/routing_gen.hpp"
 #include "route/maze.hpp"
@@ -124,6 +128,51 @@ BENCHMARK(BM_RouteThreadScaling)
     ->Iterations(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_FindPath(benchmark::State& state) {
+  // One maze search at a time on a size x size two-layer die: seeded
+  // obstacles, a seeded negotiation-style penalty field, and a fixed
+  // rotation of source/target pairs. This isolates the per-search cost
+  // (state setup, heap traffic, neighbour reads) that the negotiated
+  // router pays tens of thousands of times per flow. /40 is the size of a
+  // flow-designs routing grid, where a search is short next to the grid;
+  // /128 is a die where each search expands tens of thousands of states.
+  const int size = static_cast<int>(state.range(0));
+  const auto p = problem(size, 0, 28);
+  const route::Occupancy occ(p);
+  util::Rng rng(29);
+  std::vector<double> extra(static_cast<std::size_t>(p.width) *
+                            static_cast<std::size_t>(p.height) * 2);
+  for (auto& e : extra) e = 2.0 * rng.next_double();
+  const auto bound = static_cast<std::uint64_t>(size);
+  std::vector<std::array<gen::GridPoint, 2>> pairs;
+  while (pairs.size() < 64) {
+    const gen::GridPoint a{static_cast<int>(rng.next_below(bound)),
+                           static_cast<int>(rng.next_below(bound)), 0};
+    const gen::GridPoint b{static_cast<int>(rng.next_below(bound)),
+                           static_cast<int>(rng.next_below(bound)), 0};
+    if (occ.at(a) == route::Occupancy::kFree &&
+        occ.at(b) == route::Occupancy::kFree && a != b)
+      pairs.push_back({a, b});
+  }
+  const route::RouteCosts costs;
+  // Search effort over one full rotation: identical on every kernel that
+  // expands the same states, so it doubles as a bit-exactness check.
+  long long expansions = 0;
+  for (const auto& [a, b] : pairs)
+    if (const auto path = route::find_path(occ, {a}, {b}, 0, costs, &extra))
+      expansions += path->expansions;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = pairs[k];
+    k = (k + 1) % pairs.size();
+    auto path = route::find_path(occ, {a}, {b}, 0, costs, &extra);
+    benchmark::DoNotOptimize(path);
+  }
+  state.counters["expansions_per_search"] =
+      static_cast<double>(expansions) / static_cast<double>(pairs.size());
+}
+BENCHMARK(BM_FindPath)->Arg(40)->Arg(128)->Unit(benchmark::kMicrosecond);
 
 void BM_GridScaling(benchmark::State& state) {
   const int size = static_cast<int>(state.range(0));

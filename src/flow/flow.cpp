@@ -241,6 +241,20 @@ void run_flow_impl(const Network& input, const FlowOptions& opt,
   rreq.options.max_ripup_iterations = opt.route_ripup_iterations;
   rreq.options.budget = opt.budget;
   res.routing = api::route_nets(rp, rreq).solution;
+  // A net the router could not connect is a broken layout, not a timing
+  // input: report it and stop (a guard trip keeps the router's status).
+  if (res.routing.status.ok() && res.routing.stats.failed > 0) {
+    const auto unrouted = std::find_if(
+        res.routing.nets.begin(), res.routing.nets.end(),
+        [](const route::NetRoute& n) { return !n.routed; });
+    res.status = util::Status::internal(util::format(
+        "routing left %d of %d nets unrouted (first: net %d)",
+        res.routing.stats.failed,
+        res.routing.stats.routed + res.routing.stats.failed,
+        unrouted->net_id));
+    res.stopped_stage = "routing";
+    return;
+  }
 
   // ---- Timing (Week 8): gate delays + Elmore wire delay ------------------
   if (!stage_ok("timing")) return;

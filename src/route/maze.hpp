@@ -35,6 +35,8 @@ class Occupancy {
     return cells_[index(g)];
   }
   void set(const GridPoint& g, int v) { cells_[index(g)] = v; }
+  /// Cell values in point-index order: (layer * height + y) * width + x.
+  const int* data() const { return cells_.data(); }
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -69,6 +71,11 @@ struct PathResult {
 /// like the occupancy grid: (layer * height + y) * width + x) applied on
 /// entering any cell the net does not already own -- the hook used by the
 /// negotiated-congestion router (history + present-sharing costs).
+///
+/// The search state is thread-local and reused across calls (it grows to
+/// the largest grid the thread has searched), so concurrent calls on
+/// different threads are independent and, once a thread's state has grown,
+/// a call allocates only its result.
 std::optional<PathResult> find_path(const Occupancy& occ,
                                     const std::vector<GridPoint>& sources,
                                     const std::vector<GridPoint>& targets,

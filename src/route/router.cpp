@@ -1,8 +1,6 @@
 #include "route/router.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <set>
 
@@ -146,7 +144,6 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
 
   std::vector<double> extra_base(n_points, 0.0);
   std::vector<bool> have_route(p.nets.size(), false);
-  bool converged = false;
   // Stall escape: if the overused-cell count stops shrinking, the frozen
   // clean routes are boxing the contested nets in. One full sequential
   // sweep (every net, live commit -- the classic algorithm) lets the
@@ -155,6 +152,27 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
   constexpr int kStallLimit = 2;
   std::size_t best_over = static_cast<std::size_t>(-1);
   int stall = 0;
+  // End of an iteration: one pass over the sharing counts both counts the
+  // overused cells and raises their history (a converged grid has none to
+  // raise). Returns true once no cell is shared.
+  auto close_iteration = [&] {
+    std::size_t over = 0;
+    for (std::size_t i = 0; i < n_points; ++i)
+      if (usage[i] > 1) {
+        ++over;
+        history[i] += opt.history_increment;
+      }
+    obs::count("route.overflow", static_cast<std::int64_t>(over));
+    if (over == 0) return true;
+    if (over >= best_over) {
+      ++stall;
+    } else {
+      best_over = over;
+      stall = 0;
+    }
+    ++sol.stats.ripups;
+    return false;
+  };
   for (int iter = 0; iter < opt.max_negotiation_iterations; ++iter) {
     // Resource guard: one step per negotiation iteration. On exhaustion
     // break to finalization -- clean nets keep their wires, so a cut-short
@@ -205,13 +223,6 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
       if (rip) active.push_back(n);
     }
 
-    if (std::getenv("L2L_ROUTE_DEBUG")) {
-      std::size_t over = 0;
-      for (std::size_t i = 0; i < n_points; ++i) over += usage[i] > 1;
-      std::fprintf(stderr, "iter=%d active=%zu overused=%zu\n", iter,
-                   active.size(), over);
-    }
-
     // Small rip-up sets (the negotiation tail, where a handful of nets
     // contest a handful of cells) resolve with live Gauss-Seidel commits:
     // each net sees the routes the previous nets just picked, which is
@@ -259,22 +270,7 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
           extra_base[i] = history[i] + present * usage[i];
         }
       }
-      std::size_t over_tail = 0;
-      for (std::size_t i = 0; i < n_points; ++i) over_tail += usage[i] > 1;
-      obs::count("route.overflow", static_cast<std::int64_t>(over_tail));
-      if (over_tail == 0) {
-        converged = true;
-        break;
-      }
-      if (over_tail >= best_over) {
-        ++stall;
-      } else {
-        best_over = over_tail;
-        stall = 0;
-      }
-      for (std::size_t i = 0; i < n_points; ++i)
-        if (usage[i] > 1) history[i] += opt.history_increment;
-      ++sol.stats.ripups;
+      if (close_iteration()) break;
       continue;
     }
 
@@ -354,22 +350,7 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
       wires[n] = std::move(at.new_wires);
       for (const auto& c : wires[n]) ++usage[idx(c)];
     }
-    std::size_t over = 0;
-    for (std::size_t i = 0; i < n_points; ++i) over += usage[i] > 1;
-    obs::count("route.overflow", static_cast<std::int64_t>(over));
-    if (over == 0) {
-      converged = true;
-      break;
-    }
-    if (over >= best_over) {
-      ++stall;
-    } else {
-      best_over = over;
-      stall = 0;
-    }
-    for (std::size_t i = 0; i < n_points; ++i)
-      if (usage[i] > 1) history[i] += opt.history_increment;
-    ++sol.stats.ripups;
+    if (close_iteration()) break;
   }
 
   // Finalize with hard ownership. After convergence every wire is already
@@ -407,7 +388,6 @@ RouteSolution route_negotiated(const gen::RoutingProblem& p,
       auto r = route_net(p.nets[n], hard, opt.costs, sol.stats);
       if (r) sol.nets[n] = std::move(*r);
     }
-    (void)converged;
   }
 
   for (const auto& net : sol.nets) {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <queue>
+#include <set>
 #include <stdexcept>
 
 namespace l2l::timing {
@@ -37,19 +38,26 @@ double total_capacitance(const RcTree& tree) {
   return c;
 }
 
-RcTree rc_tree_from_route(const route::NetRoute& net,
-                          const route::GridPoint& source,
-                          const std::vector<route::GridPoint>& sinks,
-                          const WireParasitics& par) {
-  std::map<route::GridPoint, int> index;  // grid cell -> tree node
+namespace {
+
+/// The RC tree of a routed net plus the tree node of every net cell.
+struct RouteTree {
   RcTree tree;
+  std::map<route::GridPoint, int> index;  // grid cell -> tree node
+};
+
+RouteTree build_route_tree(const route::NetRoute& net,
+                           const route::GridPoint& source,
+                           const std::vector<route::GridPoint>& sinks,
+                           const WireParasitics& par) {
+  RouteTree rt;
+  auto& [tree, index] = rt;
 
   std::map<route::GridPoint, double> extra_cap;
   for (const auto& s : sinks) extra_cap[s] += par.sink_c;
 
   // BFS from the source over the net's cells.
-  std::map<route::GridPoint, bool> in_net;
-  for (const auto& c : net.cells) in_net[c] = true;
+  const std::set<route::GridPoint> in_net(net.cells.begin(), net.cells.end());
   if (!in_net.count(source))
     throw std::invalid_argument("rc_tree_from_route: source not on net");
 
@@ -62,7 +70,6 @@ RcTree rc_tree_from_route(const route::NetRoute& net,
       n.capacitance += it->second;
     tree.nodes.push_back(n);
     index[g] = static_cast<int>(tree.nodes.size()) - 1;
-    return index[g];
   };
 
   std::queue<route::GridPoint> frontier;
@@ -88,43 +95,28 @@ RcTree rc_tree_from_route(const route::NetRoute& net,
   for (const auto& s : sinks)
     if (!index.count(s))
       throw std::invalid_argument("rc_tree_from_route: sink not on net");
-  return tree;
+  return rt;
+}
+
+}  // namespace
+
+RcTree rc_tree_from_route(const route::NetRoute& net,
+                          const route::GridPoint& source,
+                          const std::vector<route::GridPoint>& sinks,
+                          const WireParasitics& par) {
+  return build_route_tree(net, source, sinks, par).tree;
 }
 
 std::vector<double> net_sink_delays(const route::NetRoute& net,
                                     const route::GridPoint& source,
                                     const std::vector<route::GridPoint>& sinks,
                                     const WireParasitics& par) {
-  const auto tree = rc_tree_from_route(net, source, sinks, par);
-  const auto delays = elmore_delays(tree);
-  // Recover sink indices by rebuilding the BFS order mapping: rerun the
-  // same deterministic construction.
-  std::map<route::GridPoint, int> index;
-  {
-    std::map<route::GridPoint, bool> in_net;
-    for (const auto& c : net.cells) in_net[c] = true;
-    std::queue<route::GridPoint> frontier;
-    int counter = 0;
-    index[source] = counter++;
-    frontier.push(source);
-    while (!frontier.empty()) {
-      const auto here = frontier.front();
-      frontier.pop();
-      const route::GridPoint nbrs[6] = {
-          {here.x + 1, here.y, here.layer}, {here.x - 1, here.y, here.layer},
-          {here.x, here.y + 1, here.layer}, {here.x, here.y - 1, here.layer},
-          {here.x, here.y, here.layer + 1}, {here.x, here.y, here.layer - 1}};
-      for (const auto& nb : nbrs) {
-        if (!in_net.count(nb) || index.count(nb)) continue;
-        index[nb] = counter++;
-        frontier.push(nb);
-      }
-    }
-  }
+  const auto rt = build_route_tree(net, source, sinks, par);
+  const auto delays = elmore_delays(rt.tree);
   std::vector<double> out;
   out.reserve(sinks.size());
   for (const auto& s : sinks)
-    out.push_back(delays[static_cast<std::size_t>(index.at(s))]);
+    out.push_back(delays[static_cast<std::size_t>(rt.index.at(s))]);
   return out;
 }
 

@@ -86,5 +86,35 @@ TEST(Flow, OptimizationCanBeDisabled) {
   EXPECT_EQ(res.literals_after, res.literals_before);
 }
 
+// A layout with an unrouted net must not report success. Two routing
+// tracks per site and no spare sites congest small designs until the
+// router gives up on a net; every such run has to say so and stop
+// before timing.
+TEST(Flow, UnroutedNetIsAnError) {
+  FlowOptions opt;
+  opt.route_grid_per_site = 2;
+  opt.grid_margin_percent = 0;
+  std::vector<network::Network> designs;
+  for (int bits = 2; bits <= 5; ++bits) {
+    designs.push_back(gen::parity_network(bits));
+    designs.push_back(gen::adder_network(bits - 1));
+  }
+  int unrouted_runs = 0;
+  for (std::size_t d = 0; d < designs.size(); ++d) {
+    const auto res = run_flow(designs[d], opt);
+    if (res.routing.stats.failed == 0) {
+      EXPECT_TRUE(res.status.ok()) << "design " << d << ": " << res.status.message;
+      continue;
+    }
+    ++unrouted_runs;
+    EXPECT_EQ(res.status.code, util::StatusCode::kInternalError) << "design " << d;
+    EXPECT_NE(res.status.message.find("unrouted"), std::string::npos)
+        << res.status.message;
+    EXPECT_EQ(res.stopped_stage, "routing");
+    EXPECT_EQ(res.timing.critical_delay, 0.0) << "timing ran on a broken layout";
+  }
+  EXPECT_GT(unrouted_runs, 0) << "no design congested enough to leave a net unrouted";
+}
+
 }  // namespace
 }  // namespace l2l::flow

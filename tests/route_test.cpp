@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
 
+#include "cache/digest.hpp"
 #include "route/maze.hpp"
 #include "route/router.hpp"
 #include "route/solution.hpp"
@@ -19,6 +27,15 @@ gen::RoutingProblem empty_grid(int w, int h) {
                                             static_cast<std::size_t>(h),
                                         false));
   return p;
+}
+
+// The problem's obstacles with every pin reserved for its net, as the
+// router sets the grid up before searching.
+Occupancy pinned_occupancy(const gen::RoutingProblem& p) {
+  Occupancy occ(p);
+  for (const auto& net : p.nets)
+    for (const auto& pin : net.pins) occ.set(pin, net.id);
+  return occ;
 }
 
 // Is the net's cell set connected (orthogonal steps in-layer, vias between
@@ -155,6 +172,78 @@ TEST(Maze, OtherNetsBlock) {
   EXPECT_FALSE(find_path(occ, {{0, 0, 0}}, {{9, 0, 0}}, 0, {}).has_value());
 }
 
+// find_path keeps its search state per thread and reuses it. A call must
+// not see anything an earlier call left behind -- visited slots, target
+// marks, heap entries, a grown-then-shrunk grid -- so every call in a
+// mixed sequence on one thread must match the same call made first on a
+// fresh thread.
+TEST(Maze, ReusedSearchStateMatchesFreshThread) {
+  struct Call {
+    const Occupancy* occ;
+    std::vector<GridPoint> sources, targets;
+    int net_id;
+    RouteCosts costs;
+    const std::vector<double>* extra;
+  };
+  auto make = [](int w, int h, std::uint64_t seed) {
+    gen::RoutingGenOptions gopt;
+    gopt.width = w;
+    gopt.height = h;
+    gopt.num_nets = 6;
+    gopt.max_pins_per_net = 4;
+    util::Rng rng(seed);
+    return gen::generate_routing(gopt, rng);
+  };
+  const auto big = make(40, 36, 5);
+  const auto small = make(9, 7, 6);
+  const Occupancy big_occ = pinned_occupancy(big);
+  const Occupancy small_occ = pinned_occupancy(small);
+  std::vector<double> big_extra(static_cast<std::size_t>(40 * 36 * 2));
+  util::Rng rng(7);
+  for (auto& e : big_extra) e = 2.0 * rng.next_double();
+
+  RouteCosts dijkstra;
+  dijkstra.use_astar = false;
+  std::vector<Call> calls;
+  for (int round = 0; round < 2; ++round) {
+    const auto& bn = big.nets[static_cast<std::size_t>(round)];
+    const auto& sn = small.nets[static_cast<std::size_t>(round)];
+    // Large, multi-target, penalty field.
+    calls.push_back({&big_occ, {bn.pins.front()},
+                     {bn.pins.begin() + 1, bn.pins.end()}, bn.id, {}, &big_extra});
+    // Small grid right after the large one: leftover slots and marks
+    // from the large call land on other points here.
+    calls.push_back({&small_occ, {sn.pins.front()}, {sn.pins.back()}, sn.id,
+                     dijkstra, nullptr});
+    // A target owned by another net: the search exhausts without a path.
+    calls.push_back({&small_occ, {sn.pins.front()},
+                     {small.nets[2].pins.front()}, sn.id, {}, nullptr});
+    // Large again, another net, several sources, Dijkstra.
+    const auto& bn2 = big.nets[static_cast<std::size_t>(round + 2)];
+    calls.push_back({&big_occ, {bn2.pins.begin(), bn2.pins.end() - 1},
+                     {bn2.pins.back()}, bn2.id, dijkstra, &big_extra});
+  }
+
+  auto run = [](const Call& c) {
+    return find_path(*c.occ, c.sources, c.targets, c.net_id, c.costs, c.extra);
+  };
+  std::vector<std::optional<PathResult>> fresh(calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i)
+    std::thread([&, i] { fresh[i] = run(calls[i]); }).join();
+
+  for (int pass = 0; pass < 2; ++pass)
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      const auto got = run(calls[i]);
+      ASSERT_EQ(got.has_value(), fresh[i].has_value()) << "call " << i;
+      if (!got) continue;
+      EXPECT_EQ(got->cells, fresh[i]->cells) << "call " << i;
+      EXPECT_EQ(got->cost, fresh[i]->cost) << "call " << i;
+      EXPECT_EQ(got->expansions, fresh[i]->expansions) << "call " << i;
+    }
+  EXPECT_FALSE(fresh[2].has_value());
+  EXPECT_TRUE(fresh[0].has_value());
+}
+
 TEST(Router, RoutesCleanProblemCompletely) {
   util::Rng rng(122);
   gen::RoutingGenOptions gopt;
@@ -287,6 +376,138 @@ TEST(Solution, AsciiRenderShowsNetsAndPins) {
   EXPECT_NE(art.find('a'), std::string::npos);
 }
 
+// ---- bit-exactness golden ------------------------------------------------
+//
+// Pins the router's search, not just its answers: every case records the
+// expansion count, the cost bit-for-bit (%.17g) and a digest of the cells
+// in path order. Any change to the kernel that reorders ties, drops or
+// adds a push, or reassociates the step arithmetic fails here. Regenerate
+// with L2L_UPDATE_GOLDEN=1 only for an intended search change, and commit
+// tests/data/golden/route_fingerprints.txt.
+
+std::string fingerprint_line(const std::string& name, long long expansions,
+                             double cost, const RouteSolution& sol) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", cost);
+  return name + " expansions=" + std::to_string(expansions) + " cost=" + buf +
+         " digest=" + cache::digest_bytes(write_solution(sol)).hex() + "\n";
+}
+
+std::string path_fingerprint(const std::string& name,
+                             const std::optional<PathResult>& path) {
+  if (!path) return name + " none\n";
+  RouteSolution sol;
+  sol.nets.push_back({0, true, path->cells});
+  return fingerprint_line(name, path->expansions, path->cost, sol);
+}
+
+std::string route_fingerprints() {
+  std::string out;
+  // route_all: A*/Dijkstra x preferred/isotropic x via 1/5/20 x
+  // negotiated/sequential, each on its own seeded congested problem with
+  // multi-pin nets.
+  int k = 0;
+  for (const bool astar : {true, false})
+    for (const bool preferred : {true, false})
+      for (const double via : {1.0, 5.0, 20.0})
+        for (const bool negotiated : {true, false}) {
+          gen::RoutingGenOptions gopt;
+          gopt.width = 18;
+          gopt.height = 18;
+          gopt.num_nets = 14;
+          gopt.obstacle_fraction = 0.1;
+          gopt.max_pins_per_net = 3;
+          util::Rng rng(1000 + static_cast<std::uint64_t>(k));
+          const auto p = gen::generate_routing(gopt, rng);
+          RouterOptions opt;
+          opt.costs.use_astar = astar;
+          opt.costs.preferred_directions = preferred;
+          opt.costs.via = via;
+          opt.negotiated = negotiated;
+          const auto sol = route_all(p, opt);
+          const std::string name =
+              "route_all/" + std::to_string(k) + (astar ? "/astar" : "/dijkstra") +
+              (preferred ? "/preferred" : "/isotropic") + "/via" +
+              std::to_string(static_cast<int>(via)) +
+              (negotiated ? "/negotiated" : "/sequential");
+          out += fingerprint_line(name, sol.stats.expansions,
+                                  sol.stats.total_wire, sol);
+          ++k;
+        }
+
+  // Direct find_path calls: a seeded penalty field, multi-source trees over
+  // the net's own cells, and multi-target calls (the BFS heuristic).
+  gen::RoutingGenOptions gopt;
+  gopt.width = 32;
+  gopt.height = 28;
+  gopt.num_nets = 10;
+  gopt.obstacle_fraction = 0.12;
+  gopt.max_pins_per_net = 4;
+  util::Rng rng(77);
+  const auto p = gen::generate_routing(gopt, rng);
+  const Occupancy occ = pinned_occupancy(p);
+  std::vector<double> extra(static_cast<std::size_t>(p.width * p.height * 2));
+  for (auto& e : extra) e = 3.0 * rng.next_double();
+
+  RouteCosts pref;
+  RouteCosts iso;
+  iso.preferred_directions = false;
+  iso.via = 5.0;
+  RouteCosts dijkstra;
+  dijkstra.use_astar = false;
+  dijkstra.via = 1.0;
+  for (std::size_t n = 0; n < p.nets.size(); ++n) {
+    const auto& net = p.nets[n];
+    const std::string base = "find_path/net" + std::to_string(net.id);
+    const std::vector<GridPoint> src{net.pins.front()};
+    const std::vector<GridPoint> one{net.pins.back()};
+    const std::vector<GridPoint> rest(net.pins.begin() + 1, net.pins.end());
+    out += path_fingerprint(base + "/extra/astar",
+                            find_path(occ, src, one, net.id, pref, &extra));
+    out += path_fingerprint(base + "/extra/dijkstra",
+                            find_path(occ, src, one, net.id, dijkstra, &extra));
+    out += path_fingerprint(base + "/multi_target/astar",
+                            find_path(occ, src, rest, net.id, pref));
+    out += path_fingerprint(base + "/multi_target/extra/isotropic",
+                            find_path(occ, src, rest, net.id, iso, &extra));
+    out += path_fingerprint(base + "/multi_target/dijkstra",
+                            find_path(occ, src, rest, net.id, dijkstra, &extra));
+    // Grow the net's own tree (zero-cost reuse) and route the last pin
+    // from every tree cell.
+    if (const auto first = find_path(occ, src, {net.pins[1]}, net.id, pref)) {
+      Occupancy grown = occ;
+      for (const auto& c : first->cells) grown.set(c, net.id);
+      out += path_fingerprint(
+          base + "/tree_sources/extra",
+          find_path(grown, first->cells, one, net.id, iso, &extra));
+    }
+  }
+  // A target owned by another net is never enterable.
+  out += path_fingerprint(
+      "find_path/blocked_target",
+      find_path(occ, {p.nets[0].pins.front()}, {p.nets[1].pins.front()},
+                p.nets[0].id, pref, &extra));
+  return out;
+}
+
+TEST(RouteGolden, FingerprintsMatchGoldenFile) {
+  const std::string got = route_fingerprints();
+  const std::string golden_path =
+      L2L_TEST_DATA_DIR "/golden/route_fingerprints.txt";
+  if (std::getenv("L2L_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << got;
+    GTEST_SKIP() << "golden file regenerated";
+  }
+  std::ifstream in(golden_path);
+  ASSERT_TRUE(in.good())
+      << "missing golden file tests/data/golden/route_fingerprints.txt";
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str()) << "actual:\n" << got;
+}
+
 // The Figure-6 unit tests of the MOOC router project: short wires in one
 // layer, vertical segments, bends, obstacle detours -- run as a
 // parameterized suite.
@@ -295,6 +516,11 @@ struct UnitCase {
   GridPoint from, to;
   int wall_x;  // -1 = none; else vertical wall on layer 0 with top gap
 };
+
+// Print a case by name. Without this gtest dumps the struct's raw bytes,
+// pointer and padding included, into the listed test name, so the name
+// changed from one build (and one process) to the next.
+void PrintTo(const UnitCase& tc, std::ostream* os) { *os << tc.name; }
 
 class RouterUnitTests : public ::testing::TestWithParam<UnitCase> {};
 
