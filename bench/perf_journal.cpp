@@ -15,7 +15,6 @@
 #include <filesystem>
 #include <string>
 
-#include "mooc/grading_queue.hpp"
 #include "mooc/grading_service.hpp"
 #include "mooc/journal.hpp"
 #include "mooc/shard_map.hpp"

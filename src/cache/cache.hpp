@@ -55,7 +55,7 @@ bool enabled();
 void set_enabled(bool on);
 
 /// The content-addressed key. `engine` is a short stable id ("sat",
-/// "grader.route", "mooc.queue", ...); `input` digests the canonical
+/// "grader.route", "mooc.service", ...); `input` digests the canonical
 /// input text; `config` digests every option that changes the result.
 struct CacheKey {
   std::string engine;

@@ -173,6 +173,23 @@ void run_flow_impl(const Network& input, const FlowOptions& opt,
   obs::gauge_set("flow.mapped_gates",
                  static_cast<std::int64_t>(res.mapped.gates.size()));
 
+  // Every pin takes its own routing-grid point, so a grid with fewer points
+  // than pins cannot be routed; refuse it before placing anything.
+  std::int64_t pins = 0;
+  for (const auto& n : prob.nets) pins += static_cast<std::int64_t>(n.size());
+  const double grid_side =
+      static_cast<double>(side_cells) * std::max(opt.route_grid_per_site, 0);
+  const double grid_points = grid_side * grid_side;
+  if (opt.route_grid_per_site < 1 || static_cast<double>(pins) > grid_points) {
+    res.status = util::Status::invalid(util::format(
+        "routing grid of %.0f points (%d sites per side, route_grid_per_site "
+        "%d) cannot hold %lld pins",
+        grid_points, side_cells, opt.route_grid_per_site,
+        static_cast<long long>(pins)));
+    res.stopped_stage = "placement";
+    return;
+  }
+
   // ---- Place (Week 6) ----------------------------------------------------
   if (!stage_ok("placement")) return;
   stage_span.emplace("flow.stage.placement", "flow");

@@ -1,11 +1,15 @@
 #pragma once
 // The persistent grading service: the planet-scale operational loop the
 // paper's "large regression suite for a commercial EDA tool" actually ran
-// as. Where drain_queue (grading_queue.hpp) is a one-shot batch over a
-// pre-materialized vector, the service is a tick-driven daemon over
-// multi-course sharded bounded queues, built to survive what a semester
-// throws at it:
+// as. A tick-driven daemon over multi-course sharded bounded queues that
+// wraps an arbitrary grading callback with the production failure modes
+// and is built to survive what a semester throws at it:
 //
+//   * grading faults     -- slow submissions hit a deterministic
+//                           per-submission budget, poison inputs (the
+//                           grader throws) become diagnostic outcomes,
+//                           injected worker faults and stalls retry with
+//                           bounded exponential backoff;
 //   * admission control  -- per-course per-tick arrival quotas; an
 //                           arrival past the quota (or past a full queue
 //                           under the `none` shed policy) is rejected
@@ -25,17 +29,19 @@
 //                           passes;
 //   * dedup & replay     -- byte-identical uploads replay the first
 //                           outcome (in-run dedup) and, with a
-//                           cache_domain, across runs through the PR 5
+//                           cache_domain, across runs through the
 //                           result cache -- both decided sequentially so
 //                           hits never depend on the thread schedule.
 //
 // Determinism contract: scheduling, admission, shedding, breaker
-// transitions, dedup, and every exported metric are bit-identical at any
-// L2L_THREADS. Only the per-tick wall-clock latencies (kept out of the
-// obs registry, in ServiceResult::tick_duration_us) vary run to run.
-// Workers matter only inside one tick's scheduled batch, which is graded
-// via parallel_for into pre-assigned slots and folded sequentially in
-// schedule order.
+// transitions, dedup, fault draws, and every exported metric are
+// bit-identical at any L2L_THREADS. Whether attempt k of a submission
+// faults is a pure hash of (fault_seed, submission id, k), so tests can
+// assert exact per-submission outcomes. Only the per-tick wall-clock
+// latencies (kept out of the obs registry, in
+// ServiceResult::tick_duration_us) vary run to run. Workers matter only
+// inside one tick's scheduled batch, which is graded via parallel_for
+// into pre-assigned slots and folded sequentially in schedule order.
 //
 // Accounting contract (the "zero silent drops" invariant the tests pin):
 //
@@ -47,14 +53,100 @@
 // queue evictions. Every trace event owns exactly one ServiceOutcome.
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mooc/cohort.hpp"
-#include "mooc/grading_queue.hpp"
+#include "util/budget.hpp"
 #include "util/status.hpp"
 
 namespace l2l::mooc {
+
+/// Per-submission grading knobs: retries, backoff, budgets, fault
+/// injection, the pre-grade lint stage and the cross-run cache domain.
+struct QueueOptions {
+  /// Retries per submission after the first attempt (injected faults and
+  /// grader exceptions retry; deterministic budget exhaustion does not --
+  /// a submission that blew its step budget once will blow it again).
+  int max_retries = 2;
+  /// Simulated backoff before retry r: backoff_base_ticks << (r - 1),
+  /// with the shift clamped (and the accumulated total saturated at
+  /// INT_MAX) so max_retries = 64 is well-defined, not UB. Recorded in
+  /// the outcome, never slept -- the simulator models the schedule, the
+  /// test asserts it.
+  int backoff_base_ticks = 1;
+  /// Per-submission step budget handed to the grading callback (< 0 =
+  /// unlimited). Deterministic guard -- see util::Budget.
+  std::int64_t step_limit = -1;
+  /// Per-submission wall-clock limit in ms (< 0 = none). Nondeterministic;
+  /// off by default.
+  std::int64_t time_limit_ms = -1;
+  /// Fault injection. Rates are per-attempt probabilities in [0, 1],
+  /// derived from splitmix64(fault_seed, submission, attempt).
+  std::uint64_t fault_seed = 0;
+  double transient_fault_rate = 0.0;  ///< worker "crash" before grading
+  double stall_rate = 0.0;            ///< worker "stall" (times out, retried)
+  /// Optional pre-grade lint stage (e.g. a l2l::lint rule pack bound to
+  /// the assignment's format). Runs before the first grading attempt;
+  /// any error-severity diagnostic rejects the submission (kRejected)
+  /// without spending a grading attempt, and the rendered findings land
+  /// in the outcome's diagnostic. Deterministic, so rejection is never
+  /// retried -- and with the result cache enabled, a byte-identical
+  /// upload scheduled on a later tick replays the verdict without
+  /// re-running the lint pack.
+  std::function<std::vector<util::Diagnostic>(const std::string&)> lint;
+  /// Cross-run outcome replay domain. Empty (default): identical
+  /// submissions are deduplicated within one run only. Non-empty: the
+  /// caller asserts that this string identifies the grading callback +
+  /// lint pack (e.g. "hw7.route-v1"), and finished outcomes are stored
+  /// in the global result cache under engine id "mooc.service" so a
+  /// later run with the same domain and options replays them without
+  /// grading. Only consulted on fault-free ticks -- injected faults are
+  /// keyed by submission id, so their outcomes are not
+  /// content-addressable.
+  std::string cache_domain;
+};
+
+enum class OutcomeKind {
+  kGraded,        ///< callback returned a score
+  kFailed,        ///< callback threw on every attempt (poison input)
+  kBudget,        ///< per-submission budget exhausted (not retried)
+  kExhausted,     ///< injected faults on every attempt; retries spent
+  kRejected,      ///< pre-grade lint found errors; grading never ran
+};
+
+struct SubmissionOutcome {
+  OutcomeKind kind = OutcomeKind::kGraded;
+  double score = 0.0;          ///< valid when kind == kGraded
+  int attempts = 0;            ///< attempts actually consumed
+  int backoff_ticks = 0;       ///< total simulated backoff before success/giving up
+  util::Status status;         ///< non-ok for every kind but kGraded
+  std::string diagnostic;      ///< human-readable failure description
+};
+
+/// Injected-fault counts observed while grading one submission. Kept
+/// separate from SubmissionOutcome so replaying an outcome (dedup, cache)
+/// never replays the fault tallies that were not actually incurred.
+struct FaultTally {
+  int transients = 0;
+  int stalls = 0;
+};
+
+/// The grading callback: score one submission under the given resource
+/// guard. May throw (the service isolates it); may honor the budget (the
+/// service checks it afterwards either way).
+using GradeFn =
+    std::function<double(const std::string& submission, const util::Budget&)>;
+
+/// The wire format for a finished outcome, shared by the result cache
+/// (engine id "mooc.service") and the journal's replay and outcome
+/// frames. deserialize returns false on any truncated/corrupt/
+/// out-of-range payload -- a failed decode is a cache miss, never a
+/// trusted outcome.
+std::string serialize_outcome(const SubmissionOutcome& out);
+bool deserialize_outcome(std::string_view bytes, SubmissionOutcome& out);
 
 enum class ShedPolicy {
   /// Evict lowest-priority lane first; within the lane, the entry with
@@ -103,9 +195,8 @@ struct ServiceOptions {
   double storm_transient_rate = 0.0;
   double storm_stall_rate = 0.0;
 
-  /// Retry/backoff/budget/fault/lint/cache_domain knobs, shared verbatim
-  /// with drain_queue. cache_domain here stores outcomes under engine id
-  /// "mooc.service".
+  /// Retry/backoff/budget/fault/lint/cache_domain knobs applied to every
+  /// full grade.
   QueueOptions queue;
 
   /// Record one ServiceOutcome per trace event (tests, reports). The

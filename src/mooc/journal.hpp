@@ -52,7 +52,6 @@
 
 #include "cache/digest.hpp"
 #include "mooc/cohort.hpp"
-#include "mooc/grading_queue.hpp"
 #include "mooc/grading_service.hpp"
 #include "util/status.hpp"
 

@@ -1,7 +1,7 @@
 #pragma once
-// Pre-grade submission checks for the grading queue/service: factories
+// Pre-grade submission checks for the grading service: factories
 // producing the QueueOptions::lint callback. Kept in its own translation
-// unit so the queue core stays free of the lint/sema dependency -- only
+// unit so the service core stays free of the lint/sema dependency -- only
 // deployments that opt into pre-grade checking link the analyzer in.
 
 #include <functional>

@@ -107,10 +107,10 @@ lint::Report analyze_files(
     const std::vector<std::pair<std::string, std::string>>& named_texts,
     lint::Format format = lint::Format::kAuto);
 
-/// Queue/service adapter: sniff the submission body (skipping the portal
+/// Grading-service adapter: sniff the submission body (skipping the portal
 /// "course ..." header line when present) and return the findings as
 /// grader-facing diagnostics -- the shape mooc::QueueOptions::lint wants.
-/// Error-severity findings make the queue reject pre-grade; warnings and
+/// Error-severity findings make the service reject pre-grade; warnings and
 /// notes ride along in the outcome. Never throws.
 std::vector<util::Diagnostic> analyze_submission(const std::string& body);
 

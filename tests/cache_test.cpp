@@ -14,8 +14,8 @@
 
 #include "cache/cache.hpp"
 #include "cache/digest.hpp"
-#include "mooc/grading_queue.hpp"
 #include "obs/metrics.hpp"
+#include "one_course.hpp"
 #include "util/parallel.hpp"
 
 namespace l2l {
@@ -250,9 +250,9 @@ std::string counters_only_export() {
 }
 
 TEST(CacheStatsTest, QueueDrainExportIsThreadCountInvariant) {
-  // The grading queue issues its cache traffic from the sequential
-  // pre-pass, so a cold-then-warm drain pair must export byte-identical
-  // cache.hit/cache.miss counters at 1, 2, and 8 threads.
+  // The grading service issues its cache traffic from the sequential
+  // scheduling pass and fold, so a cold-then-warm run pair must export
+  // byte-identical cache.hit/cache.miss counters at 1, 2, and 8 threads.
   obs::set_enabled(true);
   std::vector<std::string> subs;
   for (int i = 0; i < 20; ++i) subs.push_back("s" + std::to_string(i % 5));
@@ -267,8 +267,8 @@ TEST(CacheStatsTest, QueueDrainExportIsThreadCountInvariant) {
     util::set_num_threads(t);
     obs::Registry::global().reset();
     cache::Cache::global().clear();
-    const auto cold = mooc::drain_queue(subs, grade, qopt);
-    const auto warm = mooc::drain_queue(subs, grade, qopt);
+    const auto cold = testutil::run_one_course(subs, grade, qopt);
+    const auto warm = testutil::run_one_course(subs, grade, qopt);
     EXPECT_EQ(cold.stats.cache_hits, 0) << t << " threads";
     EXPECT_EQ(warm.stats.cache_hits, 5) << t << " threads";
     exports.push_back(counters_only_export());
@@ -277,7 +277,7 @@ TEST(CacheStatsTest, QueueDrainExportIsThreadCountInvariant) {
   cache::Cache::global().clear();
   obs::Registry::global().reset();
   ASSERT_EQ(exports.size(), 3u);
-  EXPECT_NE(exports[0].find("counter mooc.queue.cache_hits 5"),
+  EXPECT_NE(exports[0].find("counter mooc.service.cache_hits 5"),
             std::string::npos)
       << exports[0];
   EXPECT_EQ(exports[0], exports[1]) << "threads 1 vs 2";

@@ -26,11 +26,11 @@
 #include "linalg/cg.hpp"
 #include "lint/lint.hpp"
 #include "mooc/cohort.hpp"
-#include "mooc/grading_queue.hpp"
 #include "mooc/grading_service.hpp"
 #include "network/blif.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "one_course.hpp"
 #include "place/legalize.hpp"
 #include "place/quadratic.hpp"
 #include "route/router.hpp"
@@ -264,21 +264,21 @@ TEST_F(DeterminismTest, FaultInjectedQueueDrainIsThreadCountInvariant) {
     return static_cast<double>(k);
   };
 
-  std::vector<mooc::QueueResult> runs;
+  std::vector<mooc::ServiceResult> runs;
   for (const int t : kThreadCounts) {
     util::set_num_threads(t);
-    runs.push_back(mooc::drain_queue(subs, grade, qopt));
+    runs.push_back(testutil::run_one_course(subs, grade, qopt));
   }
   for (std::size_t s = 1; s < runs.size(); ++s) {
     ASSERT_EQ(runs[s].outcomes.size(), runs[0].outcomes.size());
     for (std::size_t i = 0; i < runs[0].outcomes.size(); ++i) {
       const auto& a = runs[0].outcomes[i];
       const auto& b = runs[s].outcomes[i];
-      EXPECT_EQ(b.kind, a.kind) << "submission " << i;
+      EXPECT_EQ(b.disposition, a.disposition) << "submission " << i;
       EXPECT_EQ(b.score, a.score) << "submission " << i;
       EXPECT_EQ(b.attempts, a.attempts) << "submission " << i;
       EXPECT_EQ(b.backoff_ticks, a.backoff_ticks) << "submission " << i;
-      EXPECT_EQ(b.status.code, a.status.code) << "submission " << i;
+      EXPECT_EQ(b.status, a.status) << "submission " << i;
       EXPECT_EQ(b.diagnostic, a.diagnostic) << "submission " << i;
     }
     EXPECT_EQ(runs[s].stats.graded, runs[0].stats.graded);
@@ -708,9 +708,10 @@ TEST_F(DeterminismTest, CacheKillSwitchRestoresUncachedCounters) {
   EXPECT_NE(first.find("counter place.calls 1"), std::string::npos);
 }
 
-// Cross-drain replay: a re-drain of the same cohort under the same
+// Cross-run replay: a re-run of the same cohort under the same
 // cache_domain answers every unique submission from the cache, at any
-// thread count, with outcomes byte-identical to the cold drain.
+// thread count, with outcomes byte-identical to the cold run. One upload
+// per tick, so each repeat replays the in-run memo.
 TEST_F(DeterminismTest, QueueWarmRedrainReplaysByteIdenticalOutcomes) {
   std::vector<std::string> subs;
   for (int i = 0; i < 30; ++i) subs.push_back("sub" + std::to_string(i % 10));
@@ -723,26 +724,26 @@ TEST_F(DeterminismTest, QueueWarmRedrainReplaysByteIdenticalOutcomes) {
 
   cache::Cache::global().clear();
   util::set_num_threads(1);
-  const auto cold = mooc::drain_queue(subs, grade, qopt);
+  const auto cold = testutil::run_one_course(subs, grade, qopt, 1);
   EXPECT_EQ(cold.stats.cache_hits, 0);
-  EXPECT_EQ(cold.stats.deduped, 20);  // 10 unique, each uploaded 3x
+  EXPECT_EQ(cold.stats.dedup_hits, 20);  // 10 unique, each uploaded 3x
 
   for (const int t : kThreadCounts) {
     util::set_num_threads(t);
-    const auto warm = mooc::drain_queue(subs, grade, qopt);
+    const auto warm = testutil::run_one_course(subs, grade, qopt, 1);
     EXPECT_EQ(warm.stats.cache_hits, 10) << t << " threads";
     EXPECT_EQ(warm.stats.graded, cold.stats.graded) << t << " threads";
     EXPECT_EQ(warm.stats.total_attempts, cold.stats.total_attempts)
         << t << " threads";
     ASSERT_EQ(warm.outcomes.size(), cold.outcomes.size());
     for (std::size_t i = 0; i < cold.outcomes.size(); ++i) {
-      EXPECT_EQ(warm.outcomes[i].kind, cold.outcomes[i].kind) << i;
+      EXPECT_EQ(warm.outcomes[i].disposition, cold.outcomes[i].disposition)
+          << i;
       EXPECT_EQ(warm.outcomes[i].score, cold.outcomes[i].score) << i;
       EXPECT_EQ(warm.outcomes[i].attempts, cold.outcomes[i].attempts) << i;
       EXPECT_EQ(warm.outcomes[i].backoff_ticks, cold.outcomes[i].backoff_ticks)
           << i;
-      EXPECT_EQ(warm.outcomes[i].status.code, cold.outcomes[i].status.code)
-          << i;
+      EXPECT_EQ(warm.outcomes[i].status, cold.outcomes[i].status) << i;
       EXPECT_EQ(warm.outcomes[i].diagnostic, cold.outcomes[i].diagnostic) << i;
     }
   }

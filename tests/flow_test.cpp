@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "flow/flow.hpp"
 #include "gen/function_gen.hpp"
 #include "geom/drc.hpp"
 #include "geom/extract.hpp"
 #include "grader/place_grader.hpp"
 #include "grader/route_grader.hpp"
+#include "network/blif.hpp"
 #include "network/equivalence.hpp"
 #include "util/rng.hpp"
 
@@ -114,6 +119,42 @@ TEST(Flow, UnroutedNetIsAnError) {
     EXPECT_EQ(res.timing.critical_delay, 0.0) << "timing ran on a broken layout";
   }
   EXPECT_GT(unrouted_runs, 0) << "no design congested enough to leave a net unrouted";
+}
+
+// A routing grid with fewer points than the design has pins is an invalid
+// option: run_flow refuses it before placement instead of failing inside
+// the routing-problem construction.
+TEST(Flow, RoutingGridTooSmallForPinsIsInvalid) {
+  std::ifstream in(std::string(L2L_REPO_DATA_DIR) + "/fulladder.blif");
+  ASSERT_TRUE(in) << "cannot read data/fulladder.blif";
+  std::stringstream text;
+  text << in.rdbuf();
+  const auto net = network::parse_blif(text.str());
+  struct Case {
+    int grid, margin;
+  };
+  for (const Case c : {Case{1, 0}, Case{1, 100}, Case{0, 100}, Case{-1, 100}}) {
+    FlowOptions opt;
+    opt.route_grid_per_site = c.grid;
+    opt.grid_margin_percent = c.margin;
+    const auto res = run_flow(net, opt);
+    EXPECT_EQ(res.status.code, util::StatusCode::kInvalidInput)
+        << "grid " << c.grid << " margin " << c.margin << ": "
+        << res.status.message;
+    EXPECT_NE(res.status.message.find("pins"), std::string::npos)
+        << res.status.message;
+    EXPECT_EQ(res.stopped_stage, "placement");
+    EXPECT_TRUE(res.placement.col.empty()) << "placement ran";
+  }
+  // Enough spare sites give one grid point per pin: the run gets past
+  // the check and builds the routing problem.
+  FlowOptions roomy;
+  roomy.route_grid_per_site = 1;
+  roomy.grid_margin_percent = 400;
+  const auto res = run_flow(net, roomy);
+  EXPECT_NE(res.status.code, util::StatusCode::kInvalidInput)
+      << res.status.message;
+  EXPECT_FALSE(res.routing_problem.nets.empty());
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <numeric>
 #include <set>
 
+#include "cache/cache.hpp"
 #include "mooc/cohort.hpp"
 #include "mooc/datasets.hpp"
+#include "mooc/grading_service.hpp"
 #include "mooc/wordcloud.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -200,6 +202,85 @@ TEST(SubmissionTrace, LanesFollowFirstSubmitThenResubmits) {
   // The pool keeps the trace duplicate-heavy: far more events than
   // distinct bodies.
   EXPECT_GT(trace.events.size(), trace.bodies.size());
+}
+
+// ---- outcome wire format (result cache + journal frames) ----------------
+
+/// An outcome of `kind` with every field set to a distinct value.
+SubmissionOutcome sample_outcome(OutcomeKind kind) {
+  SubmissionOutcome out;
+  out.kind = kind;
+  out.score = 87.25;
+  out.attempts = 3;
+  out.backoff_ticks = 6;
+  out.status = util::Status::internal("worker crashed");
+  out.diagnostic = "grader error: line 4\nbad token";
+  return out;
+}
+
+/// The serialize_outcome layout written field by field, so a test can put
+/// any value in the kind and status-code slots.
+std::string raw_outcome(std::int64_t kind, std::int64_t code) {
+  std::string bytes;
+  cache::append_i64(bytes, kind);
+  cache::append_f64(bytes, 1.5);
+  cache::append_i64(bytes, 1);
+  cache::append_i64(bytes, 0);
+  cache::append_i64(bytes, code);
+  cache::append_record(bytes, "msg");
+  cache::append_record(bytes, "diag");
+  return bytes;
+}
+
+TEST(OutcomeWireFormat, RoundTripsEveryKind) {
+  for (const OutcomeKind kind :
+       {OutcomeKind::kGraded, OutcomeKind::kFailed, OutcomeKind::kBudget,
+        OutcomeKind::kExhausted, OutcomeKind::kRejected}) {
+    const SubmissionOutcome in = sample_outcome(kind);
+    SubmissionOutcome out;
+    ASSERT_TRUE(deserialize_outcome(serialize_outcome(in), out))
+        << static_cast<int>(kind);
+    EXPECT_EQ(out.kind, in.kind);
+    EXPECT_EQ(out.score, in.score);
+    EXPECT_EQ(out.attempts, in.attempts);
+    EXPECT_EQ(out.backoff_ticks, in.backoff_ticks);
+    EXPECT_EQ(out.status.code, in.status.code);
+    EXPECT_EQ(out.status.message, in.status.message);
+    EXPECT_EQ(out.diagnostic, in.diagnostic);
+  }
+}
+
+TEST(OutcomeWireFormat, RejectsEveryTruncatedPrefix) {
+  const std::string bytes =
+      serialize_outcome(sample_outcome(OutcomeKind::kFailed));
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    SubmissionOutcome out;
+    EXPECT_FALSE(deserialize_outcome(std::string_view(bytes).substr(0, len),
+                                     out))
+        << "prefix of " << len << " of " << bytes.size() << " bytes";
+  }
+}
+
+TEST(OutcomeWireFormat, RejectsOutOfRangeKindAndStatusCode) {
+  const auto last_kind = static_cast<std::int64_t>(OutcomeKind::kRejected);
+  const auto last_code =
+      static_cast<std::int64_t>(util::StatusCode::kInternalError);
+  SubmissionOutcome out;
+  ASSERT_TRUE(deserialize_outcome(raw_outcome(last_kind, last_code), out));
+  EXPECT_EQ(out.kind, OutcomeKind::kRejected);
+  EXPECT_EQ(out.status.code, util::StatusCode::kInternalError);
+  EXPECT_FALSE(deserialize_outcome(raw_outcome(-1, 0), out));
+  EXPECT_FALSE(deserialize_outcome(raw_outcome(last_kind + 1, 0), out));
+  EXPECT_FALSE(deserialize_outcome(raw_outcome(0, -1), out));
+  EXPECT_FALSE(deserialize_outcome(raw_outcome(0, last_code + 1), out));
+}
+
+TEST(OutcomeWireFormat, RejectsATrailingByte) {
+  std::string bytes = serialize_outcome(sample_outcome(OutcomeKind::kGraded));
+  SubmissionOutcome out;
+  ASSERT_TRUE(deserialize_outcome(bytes, out));
+  bytes.push_back('\0');
+  EXPECT_FALSE(deserialize_outcome(bytes, out));
 }
 
 TEST(WordCloud, CountsAndFilters) {

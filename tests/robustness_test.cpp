@@ -38,9 +38,9 @@
 #include "linalg/cg.hpp"
 #include "linalg/sparse.hpp"
 #include "mooc/cohort.hpp"
-#include "mooc/grading_queue.hpp"
 #include "mooc/grading_service.hpp"
 #include "network/blif.hpp"
+#include "one_course.hpp"
 #include "place/legalize.hpp"
 #include "place/quadratic.hpp"
 #include "place/wirelength.hpp"
@@ -463,7 +463,8 @@ TEST(Budgets, CancellationStopsTheRouterFromOutside) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. The fault-injected grading queue degrades gracefully.
+// 4. The grading service degrades gracefully under grading faults: one
+//    course, every upload at tick 0, bounds nothing reaches.
 
 double parse_score(const std::string& s) {
   return static_cast<double>(util::parse_int(s.substr(1)).value());
@@ -472,14 +473,14 @@ double parse_score(const std::string& s) {
 TEST(GradingQueue, CleanQueueGradesEverything) {
   std::vector<std::string> subs;
   for (int i = 0; i < 8; ++i) subs.push_back("s" + std::to_string(i));
-  const auto res = mooc::drain_queue(
+  const auto res = testutil::run_one_course(
       subs, [](const std::string& s, const util::Budget&) {
         return parse_score(s);
       });
   ASSERT_EQ(res.outcomes.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(res.outcomes[static_cast<std::size_t>(i)].kind,
-              mooc::OutcomeKind::kGraded);
+    EXPECT_EQ(res.outcomes[static_cast<std::size_t>(i)].disposition,
+              mooc::Disposition::kGraded);
     EXPECT_DOUBLE_EQ(res.outcomes[static_cast<std::size_t>(i)].score, i);
     EXPECT_EQ(res.outcomes[static_cast<std::size_t>(i)].attempts, 1);
   }
@@ -491,20 +492,20 @@ TEST(GradingQueue, PoisonSubmissionsFailWithDiagnosticsOthersGrade) {
   std::vector<std::string> subs = {"s10", "poison", "s30", "poison", "s50"};
   mooc::QueueOptions opt;
   opt.max_retries = 2;
-  const auto res = mooc::drain_queue(
+  const auto res = testutil::run_one_course(
       subs,
       [](const std::string& s, const util::Budget&) {
         if (s == "poison") throw std::runtime_error("unreadable submission");
         return parse_score(s);
       },
       opt);
-  EXPECT_EQ(res.outcomes[0].kind, mooc::OutcomeKind::kGraded);
+  EXPECT_EQ(res.outcomes[0].disposition, mooc::Disposition::kGraded);
   EXPECT_DOUBLE_EQ(res.outcomes[0].score, 10.0);
-  EXPECT_EQ(res.outcomes[1].kind, mooc::OutcomeKind::kFailed);
+  EXPECT_EQ(res.outcomes[1].disposition, mooc::Disposition::kFailed);
   EXPECT_EQ(res.outcomes[1].attempts, 3);  // 1 + 2 retries
   EXPECT_NE(res.outcomes[1].diagnostic.find("unreadable submission"),
             std::string::npos);
-  EXPECT_EQ(res.outcomes[4].kind, mooc::OutcomeKind::kGraded);
+  EXPECT_EQ(res.outcomes[4].disposition, mooc::Disposition::kGraded);
   EXPECT_EQ(res.stats.graded, 3);
   EXPECT_EQ(res.stats.failed, 2);
 }
@@ -514,7 +515,7 @@ TEST(GradingQueue, SlowSubmissionsHitTheirBudgetAndAreNotRetried) {
   mooc::QueueOptions opt;
   opt.step_limit = 4;
   opt.max_retries = 3;
-  const auto res = mooc::drain_queue(
+  const auto res = testutil::run_one_course(
       subs,
       [](const std::string& s, const util::Budget& budget) {
         if (s == "slow") {
@@ -526,11 +527,11 @@ TEST(GradingQueue, SlowSubmissionsHitTheirBudgetAndAreNotRetried) {
         return parse_score(s);
       },
       opt);
-  EXPECT_EQ(res.outcomes[0].kind, mooc::OutcomeKind::kGraded);
-  EXPECT_EQ(res.outcomes[1].kind, mooc::OutcomeKind::kBudget);
+  EXPECT_EQ(res.outcomes[0].disposition, mooc::Disposition::kGraded);
+  EXPECT_EQ(res.outcomes[1].disposition, mooc::Disposition::kBudget);
   EXPECT_EQ(res.outcomes[1].attempts, 1);  // deterministic: never retried
-  EXPECT_FALSE(res.outcomes[1].status.ok());
-  EXPECT_EQ(res.outcomes[2].kind, mooc::OutcomeKind::kGraded);
+  EXPECT_NE(res.outcomes[1].status, util::StatusCode::kOk);
+  EXPECT_EQ(res.outcomes[2].disposition, mooc::Disposition::kGraded);
   EXPECT_EQ(res.stats.budget_exceeded, 1);
 }
 
@@ -542,7 +543,7 @@ TEST(GradingQueue, InjectedFaultsAreRetriedWithBackoff) {
   opt.transient_fault_rate = 0.4;
   opt.stall_rate = 0.2;
   opt.max_retries = 4;
-  const auto res = mooc::drain_queue(
+  const auto res = testutil::run_one_course(
       subs,
       [](const std::string& s, const util::Budget&) { return parse_score(s); },
       opt);
@@ -551,12 +552,12 @@ TEST(GradingQueue, InjectedFaultsAreRetriedWithBackoff) {
   int graded = 0;
   for (std::size_t i = 0; i < subs.size(); ++i) {
     const auto& out = res.outcomes[i];
-    if (out.kind == mooc::OutcomeKind::kGraded) {
+    if (out.disposition == mooc::Disposition::kGraded) {
       ++graded;
       EXPECT_DOUBLE_EQ(out.score, parse_score(subs[i]));
       if (out.attempts > 1) EXPECT_GT(out.backoff_ticks, 0);
     } else {
-      EXPECT_EQ(out.kind, mooc::OutcomeKind::kExhausted);
+      EXPECT_EQ(out.disposition, mooc::Disposition::kExhausted);
       EXPECT_EQ(out.attempts, 5);
     }
   }
@@ -564,7 +565,7 @@ TEST(GradingQueue, InjectedFaultsAreRetriedWithBackoff) {
   EXPECT_GT(res.stats.injected_transients, 0);
   EXPECT_GT(res.stats.injected_stalls, 0);
   EXPECT_EQ(res.stats.graded + res.stats.retries_exhausted,
-            static_cast<int>(subs.size()));
+            static_cast<std::int64_t>(subs.size()));
 }
 
 TEST(GradingQueue, RealGraderBehindTheQueueSurvivesHostileCorpus) {
@@ -579,14 +580,14 @@ TEST(GradingQueue, RealGraderBehindTheQueueSurvivesHostileCorpus) {
   for (const auto& name : corpus()) subs.push_back(load(name));
   subs.push_back(good);
 
-  const auto res = mooc::drain_queue(
+  const auto res = testutil::run_one_course(
       subs, [&](const std::string& text, const util::Budget& budget) {
         return grader::grade_routing_text(p, text, &budget).score;
       });
   // Graders never throw, so every hostile file still "grades" (score 0
   // or partial) and the real submission scores full marks.
   for (const auto& out : res.outcomes)
-    EXPECT_EQ(out.kind, mooc::OutcomeKind::kGraded);
+    EXPECT_EQ(out.disposition, mooc::Disposition::kGraded);
   EXPECT_DOUBLE_EQ(res.outcomes.back().score, 100.0);
 }
 
@@ -598,13 +599,13 @@ TEST(GradingQueue, BackoffSaturatesAtMaxRetries64) {
   mooc::QueueOptions opt;
   opt.max_retries = 64;
   opt.backoff_base_ticks = 3;
-  const auto res = mooc::drain_queue(
+  const auto res = testutil::run_one_course(
       {"poison"}, [](const std::string&, const util::Budget&) -> double {
         throw std::runtime_error("always fails");
       },
       opt);
   ASSERT_EQ(res.outcomes.size(), 1u);
-  EXPECT_EQ(res.outcomes[0].kind, mooc::OutcomeKind::kFailed);
+  EXPECT_EQ(res.outcomes[0].disposition, mooc::Disposition::kFailed);
   EXPECT_EQ(res.outcomes[0].attempts, 65);  // 1 + 64 retries
   EXPECT_EQ(res.outcomes[0].backoff_ticks, std::numeric_limits<int>::max());
 }

@@ -85,11 +85,13 @@ scan_in sema-no-wall-clock 'system_clock|gettimeofday|[^_[:alnum:]]time[[:space:
 # The crash-recovery journal (PR 10) promises byte-identical replay of a
 # pre-crash drain: a wall-clock read, a steady_clock timestamp baked into
 # a frame, or an unordered-container walk on the write path would make
-# the journal disagree with its own replay. Scoped like the sema pack so
-# the promise survives any relaxation of the global rules.
-scan_in journal-no-clock 'system_clock|steady_clock|gettimeofday|[^_[:alnum:]]time[[:space:]]*\(' '^src/mooc/(journal|shard_map)'
-scan_in journal-no-unordered 'std::unordered_' '^src/mooc/(journal|shard_map)'
-scan_in journal-no-stoi 'std::sto(i|l|ll|ul|ull|f|d|ld)[[:space:]]*\(' '^src/mooc/(journal|shard_map)'
+# the journal disagree with its own replay. The grading service is in
+# scope too: its fault-draw hashing and the outcome wire format feed the
+# journal's frames. Scoped like the sema pack so the promise survives any
+# relaxation of the global rules.
+scan_in journal-no-clock 'system_clock|steady_clock|gettimeofday|[^_[:alnum:]]time[[:space:]]*\(' '^src/mooc/(journal|shard_map|grading_service)'
+scan_in journal-no-unordered 'std::unordered_' '^src/mooc/(journal|shard_map|grading_service)'
+scan_in journal-no-stoi 'std::sto(i|l|ll|ul|ull|f|d|ld)[[:space:]]*\(' '^src/mooc/(journal|shard_map|grading_service)'
 
 # Apply the allowlist (literal substrings, comments stripped).
 if [ -f "$allow" ]; then
