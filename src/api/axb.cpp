@@ -17,21 +17,17 @@ namespace {
 
 constexpr std::uint64_t kAxbFormatVersion = 1;
 
-std::string serialize(const AxbResult& res) {
-  std::string out;
+void append_payload(std::string& out, const AxbResult& res) {
   cache::append_record(out, res.output);
   cache::append_record(out, res.error_output);
   cache::append_i64(out, res.exit_code);
   detail::append_status(out, res.status);
-  return out;
 }
 
-bool deserialize(std::string_view bytes, AxbResult& res) {
-  cache::RecordReader in(bytes);
+bool read_payload(cache::RecordReader& in, AxbResult& res) {
   std::int64_t exit_code = 0;
   if (!in.next_string(res.output) || !in.next_string(res.error_output) ||
-      !in.next_i64(exit_code) || !detail::read_status(in, res.status) ||
-      !in.complete())
+      !in.next_i64(exit_code) || !detail::read_status(in, res.status))
     return false;
   res.exit_code = static_cast<int>(exit_code);
   return true;
@@ -126,25 +122,15 @@ AxbResult run_solver(const AxbRequest& req) {
 }  // namespace
 
 AxbResult solve_axb(const AxbRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "axb";
-    key.input = cache::digest_bytes(req.input);
-    cache::Hasher h;
-    h.u64(kAxbFormatVersion).boolean(req.use_cg);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      AxbResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
-  }
-  AxbResult res = run_solver(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<AxbResult>(
+      req.cacheable(),
+      [&] {
+        cache::Hasher h;
+        h.u64(kAxbFormatVersion).boolean(req.use_cg);
+        return cache::CacheKey{"axb", cache::digest_bytes(req.input),
+                               h.finish()};
+      },
+      [&] { return run_solver(req); }, append_payload, read_payload);
 }
 
 }  // namespace l2l::api

@@ -37,9 +37,9 @@ struct RequestBase {
   bool use_cache = true;
 
   /// The one cacheability rule, spelled once: opted in AND free of a
-  /// wall-clock deadline. Facades still AND this with cache::enabled()
-  /// and any engine-specific reproducibility conditions (e.g. a non-null
-  /// Budget pointer in RouterOptions).
+  /// wall-clock deadline. Facades AND in any engine-specific condition
+  /// (e.g. a null Budget pointer in RouterOptions) and pass the result to
+  /// detail::cached_call, which also checks cache::enabled().
   bool cacheable() const { return use_cache && time_limit_ms < 0; }
 };
 

@@ -222,19 +222,16 @@ class Calculator {
   std::size_t pos_ = 0;
 };
 
-std::string serialize(const BddScriptResult& res) {
-  std::string out;
+void append_payload(std::string& out, const BddScriptResult& res) {
   cache::append_record(out, res.output);
   cache::append_i64(out, res.exit_code);
   detail::append_status(out, res.status);
-  return out;
 }
 
-bool deserialize(std::string_view bytes, BddScriptResult& res) {
-  cache::RecordReader in(bytes);
+bool read_payload(cache::RecordReader& in, BddScriptResult& res) {
   std::int64_t exit_code = 0;
   if (!in.next_string(res.output) || !in.next_i64(exit_code) ||
-      !detail::read_status(in, res.status) || !in.complete())
+      !detail::read_status(in, res.status))
     return false;
   res.exit_code = static_cast<int>(exit_code);
   return true;
@@ -259,25 +256,15 @@ BddScriptResult run_script(const BddScriptRequest& req) {
 }  // namespace
 
 BddScriptResult run_bdd_script(const BddScriptRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "bdd";
-    key.input = cache::digest_bytes(req.script);
-    cache::Hasher h;
-    h.u64(kBddFormatVersion).i64(req.node_limit);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      BddScriptResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
-  }
-  BddScriptResult res = run_script(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<BddScriptResult>(
+      req.cacheable(),
+      [&] {
+        cache::Hasher h;
+        h.u64(kBddFormatVersion).i64(req.node_limit);
+        return cache::CacheKey{"bdd", cache::digest_bytes(req.script),
+                               h.finish()};
+      },
+      [&] { return run_script(req); }, append_payload, read_payload);
 }
 
 }  // namespace l2l::api

@@ -18,24 +18,20 @@ namespace {
 
 constexpr std::uint64_t kEsopFormatVersion = 1;
 
-std::string serialize(const EsopResult& res) {
-  std::string out;
+void append_payload(std::string& out, const EsopResult& res) {
   cache::append_record(out, res.output);
   cache::append_record(out, res.stats_output);
   cache::append_i64(out, res.terms);
   cache::append_i64(out, res.minimal ? 1 : 0);
   cache::append_i64(out, res.exit_code);
   detail::append_status(out, res.status);
-  return out;
 }
 
-bool deserialize(std::string_view bytes, EsopResult& res) {
-  cache::RecordReader in(bytes);
+bool read_payload(cache::RecordReader& in, EsopResult& res) {
   std::int64_t terms = 0, minimal = 0, exit_code = 0;
   if (!in.next_string(res.output) || !in.next_string(res.stats_output) ||
       !in.next_i64(terms) || !in.next_i64(minimal) ||
-      !in.next_i64(exit_code) || !detail::read_status(in, res.status) ||
-      !in.complete())
+      !in.next_i64(exit_code) || !detail::read_status(in, res.status))
     return false;
   res.terms = static_cast<int>(terms);
   res.minimal = minimal != 0;
@@ -207,29 +203,19 @@ EsopResult synthesize_esop(const EsopRequest& req) {
   // A wall-clock deadline makes the stopping point non-reproducible:
   // never store or replay such results. The deterministic guards
   // (max_terms, conflict_limit, prop_limit) are config-digest inputs.
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "esop";
-    key.input = cache::digest_bytes(req.input);
-    cache::Hasher h;
-    h.u64(kEsopFormatVersion)
-        .i32(req.max_terms)
-        .i64(req.conflict_limit)
-        .i64(req.prop_limit)
-        .boolean(req.show_stats);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      EsopResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
-  }
-  EsopResult res = run_synthesis(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<EsopResult>(
+      req.cacheable(),
+      [&] {
+        cache::Hasher h;
+        h.u64(kEsopFormatVersion)
+            .i32(req.max_terms)
+            .i64(req.conflict_limit)
+            .i64(req.prop_limit)
+            .boolean(req.show_stats);
+        return cache::CacheKey{"esop", cache::digest_bytes(req.input),
+                               h.finish()};
+      },
+      [&] { return run_synthesis(req); }, append_payload, read_payload);
 }
 
 }  // namespace l2l::api

@@ -15,21 +15,17 @@ namespace {
 
 constexpr std::uint64_t kEspressoFormatVersion = 1;
 
-std::string serialize(const EspressoResult& res) {
-  std::string out;
+void append_payload(std::string& out, const EspressoResult& res) {
   cache::append_record(out, res.output);
   cache::append_record(out, res.stats_output);
   cache::append_i64(out, res.exit_code);
   detail::append_status(out, res.status);
-  return out;
 }
 
-bool deserialize(std::string_view bytes, EspressoResult& res) {
-  cache::RecordReader in(bytes);
+bool read_payload(cache::RecordReader& in, EspressoResult& res) {
   std::int64_t exit_code = 0;
   if (!in.next_string(res.output) || !in.next_string(res.stats_output) ||
-      !in.next_i64(exit_code) || !detail::read_status(in, res.status) ||
-      !in.complete())
+      !in.next_i64(exit_code) || !detail::read_status(in, res.status))
     return false;
   res.exit_code = static_cast<int>(exit_code);
   return true;
@@ -71,28 +67,18 @@ EspressoResult run_minimizer(const EspressoRequest& req) {
 }  // namespace
 
 EspressoResult minimize_pla(const EspressoRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "espresso";
-    key.input = cache::digest_bytes(req.pla);
-    cache::Hasher h;
-    h.u64(kEspressoFormatVersion)
-        .boolean(req.exact)
-        .boolean(req.single_pass)
-        .boolean(req.show_stats);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      EspressoResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
-  }
-  EspressoResult res = run_minimizer(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<EspressoResult>(
+      req.cacheable(),
+      [&] {
+        cache::Hasher h;
+        h.u64(kEspressoFormatVersion)
+            .boolean(req.exact)
+            .boolean(req.single_pass)
+            .boolean(req.show_stats);
+        return cache::CacheKey{"espresso", cache::digest_bytes(req.pla),
+                               h.finish()};
+      },
+      [&] { return run_minimizer(req); }, append_payload, read_payload);
 }
 
 }  // namespace l2l::api

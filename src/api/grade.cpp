@@ -15,7 +15,8 @@ namespace {
 // entries instead of misreading them.
 constexpr std::uint64_t kGradeFormatVersion = 2;
 
-void append_route_grade(std::string& out, const grader::RouteGrade& g) {
+void append_route_grade(std::string& out, const RouteGradeResult& res) {
+  const grader::RouteGrade& g = res.grade;
   cache::append_i64(out, static_cast<std::int64_t>(g.nets.size()));
   for (const auto& net : g.nets) {
     cache::append_i64(out, net.net_id);
@@ -36,10 +37,10 @@ void append_route_grade(std::string& out, const grader::RouteGrade& g) {
   detail::append_status(out, g.status);
 }
 
-bool read_route_grade(cache::RecordReader& in, grader::RouteGrade& g) {
+bool read_route_grade(cache::RecordReader& in, RouteGradeResult& res) {
+  grader::RouteGrade& g = res.grade;
   std::int64_t num_nets = 0;
   if (!in.next_i64(num_nets) || num_nets < 0) return false;
-  g.nets.clear();
   for (std::int64_t k = 0; k < num_nets; ++k) {
     grader::NetGrade net;
     std::int64_t id = 0, legal = 0, wirelength = 0, vias = 0;
@@ -69,7 +70,8 @@ bool read_route_grade(cache::RecordReader& in, grader::RouteGrade& g) {
   return true;
 }
 
-void append_place_grade(std::string& out, const grader::PlaceGrade& g) {
+void append_place_grade(std::string& out, const PlaceGradeResult& res) {
+  const grader::PlaceGrade& g = res.grade;
   cache::append_i64(out, g.legal ? 1 : 0);
   cache::append_record(out, g.reason);
   cache::append_f64(out, g.hpwl);
@@ -82,7 +84,8 @@ void append_place_grade(std::string& out, const grader::PlaceGrade& g) {
   detail::append_status(out, g.status);
 }
 
-bool read_place_grade(cache::RecordReader& in, grader::PlaceGrade& g) {
+bool read_place_grade(cache::RecordReader& in, PlaceGradeResult& res) {
+  grader::PlaceGrade& g = res.grade;
   std::int64_t legal = 0;
   if (!in.next_i64(legal) || !in.next_string(g.reason) ||
       !in.next_f64(g.hpwl) || !in.next_f64(g.quality_ratio) ||
@@ -106,41 +109,32 @@ RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
 RouteGradeResult grade_route_submission(const gen::RoutingProblem& problem,
                                         const cache::Digest128& problem_digest,
                                         const RouteGradeRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "grader.route";
-    key.input = cache::digest_bytes(req.submission);
-    cache::Hasher h;
-    h.u64(kGradeFormatVersion)
-        .u64(problem_digest.hi)
-        .u64(problem_digest.lo)
-        .i64(req.step_limit);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      RouteGradeResult res;
-      cache::RecordReader in(*hit);
-      if (read_route_grade(in, res.grade) && in.complete()) {
-        res.cached = true;
+  return detail::cached_call<RouteGradeResult>(
+      req.cacheable(),
+      [&] {
+        cache::Hasher h;
+        h.u64(kGradeFormatVersion)
+            .u64(problem_digest.hi)
+            .u64(problem_digest.lo)
+            .i64(req.step_limit);
+        return cache::CacheKey{"grader.route",
+                               cache::digest_bytes(req.submission),
+                               h.finish()};
+      },
+      [&] {
+        RouteGradeResult res;
+        util::Budget budget;
+        const util::Budget* guard = nullptr;
+        if (req.step_limit >= 0 || req.time_limit_ms >= 0) {
+          if (req.step_limit >= 0) budget.set_step_limit(req.step_limit);
+          if (req.time_limit_ms >= 0)
+            budget.set_deadline_ms(req.time_limit_ms);
+          guard = &budget;
+        }
+        res.grade = grader::grade_routing_text(problem, req.submission, guard);
         return res;
-      }
-    }
-  }
-  RouteGradeResult res;
-  util::Budget budget;
-  const util::Budget* guard = nullptr;
-  if (req.step_limit >= 0 || req.time_limit_ms >= 0) {
-    if (req.step_limit >= 0) budget.set_step_limit(req.step_limit);
-    if (req.time_limit_ms >= 0) budget.set_deadline_ms(req.time_limit_ms);
-    guard = &budget;
-  }
-  res.grade = grader::grade_routing_text(problem, req.submission, guard);
-  if (cacheable) {
-    std::string bytes;
-    append_route_grade(bytes, res.grade);
-    cache::Cache::global().insert(key, bytes);
-  }
-  return res;
+      },
+      append_route_grade, read_route_grade);
 }
 
 PlaceGradeResult grade_place_submission(const gen::PlacementProblem& problem,
@@ -154,40 +148,29 @@ PlaceGradeResult grade_place_submission(const gen::PlacementProblem& problem,
                                         const place::Grid& grid,
                                         const cache::Digest128& problem_digest,
                                         const PlaceGradeRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "grader.place";
-    key.input = cache::digest_bytes(req.submission);
-    cache::Hasher h;
-    h.u64(kGradeFormatVersion)
-        .u64(problem_digest.hi)
-        .u64(problem_digest.lo)
-        .i32(grid.rows)
-        .i32(grid.sites_per_row)
-        .f64(grid.width)
-        .f64(grid.height)
-        .f64(req.reference_hpwl);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      PlaceGradeResult res;
-      cache::RecordReader in(*hit);
-      if (read_place_grade(in, res.grade) && in.complete()) {
-        res.cached = true;
+  return detail::cached_call<PlaceGradeResult>(
+      req.cacheable(),
+      [&] {
+        cache::Hasher h;
+        h.u64(kGradeFormatVersion)
+            .u64(problem_digest.hi)
+            .u64(problem_digest.lo)
+            .i32(grid.rows)
+            .i32(grid.sites_per_row)
+            .f64(grid.width)
+            .f64(grid.height)
+            .f64(req.reference_hpwl);
+        return cache::CacheKey{"grader.place",
+                               cache::digest_bytes(req.submission),
+                               h.finish()};
+      },
+      [&] {
+        PlaceGradeResult res;
+        res.grade = grader::grade_placement_text(problem, grid, req.submission,
+                                                 req.reference_hpwl);
         return res;
-      }
-    }
-  }
-  PlaceGradeResult res;
-  res.grade =
-      grader::grade_placement_text(problem, grid, req.submission,
-                                   req.reference_hpwl);
-  if (cacheable) {
-    std::string bytes;
-    append_place_grade(bytes, res.grade);
-    cache::Cache::global().insert(key, bytes);
-  }
-  return res;
+      },
+      append_place_grade, read_place_grade);
 }
 
 }  // namespace l2l::api

@@ -1,10 +1,10 @@
 #pragma once
-// Auto-grader facades: the cached text-in/grade-out entry points the
-// grading queue, batch drivers, and benchmarks share. The facade owns
-// the keying -- submission text digested as the input, problem digest
-// folded into the config together with the deterministic limits -- so
-// "the same submission against the same problem is graded once" holds
-// across every consumer of these functions.
+// Auto-grader facades: the cached text-in/grade-out entry points that
+// grading-service callbacks (e.g. the end-to-end benchmark's semester)
+// call. The facade owns the keying -- submission text digested as the
+// input, problem digest folded into the config with the deterministic
+// limits -- so "the same submission against the same problem is graded
+// once" holds across every consumer of these functions.
 //
 // Engine ids "grader.route" / "grader.place". Wall-clock-limited grading
 // bypasses the cache (a deadline's trip point is not reproducible); the

@@ -10,16 +10,20 @@ namespace {
 
 constexpr std::uint64_t kMlsFormatVersion = 1;
 
-cache::Digest128 config_digest(const mls::ScriptOptions& opt) {
+cache::CacheKey make_key(const std::string& blif,
+                         const mls::ScriptOptions& opt) {
   cache::Hasher h;
   h.u64(kMlsFormatVersion)
       .i32(opt.eliminate_threshold)
       .boolean(opt.use_sdc_simplify)
       .i32(opt.passes);
-  return h.finish();
+  return {"mls", cache::digest_bytes(blif), h.finish()};
 }
 
-void append_stats(std::string& out, const mls::ScriptStats& s) {
+// The payload: the optimized network's BLIF text, then its stats.
+void append_payload(std::string& out, const std::string& blif,
+                    const mls::ScriptStats& s) {
+  cache::append_record(out, blif);
   cache::append_i64(out, s.literals_before);
   cache::append_i64(out, s.literals_after);
   cache::append_i64(out, s.nodes_before);
@@ -31,7 +35,9 @@ void append_stats(std::string& out, const mls::ScriptStats& s) {
   cache::append_i64(out, s.resubstitutions);
 }
 
-bool read_stats(cache::RecordReader& in, mls::ScriptStats& s) {
+bool read_payload(cache::RecordReader& in, std::string& blif,
+                  mls::ScriptStats& s) {
+  if (!in.next_string(blif)) return false;
   std::int64_t v[9];
   for (auto& f : v)
     if (!in.next_i64(f)) return false;
@@ -47,73 +53,63 @@ bool read_stats(cache::RecordReader& in, mls::ScriptStats& s) {
   return true;
 }
 
-std::string serialize(const std::string& blif, const mls::ScriptStats& s) {
-  std::string out;
-  cache::append_record(out, blif);
-  append_stats(out, s);
-  return out;
-}
-
-bool deserialize(std::string_view bytes, std::string& blif,
-                 mls::ScriptStats& s) {
-  cache::RecordReader in(bytes);
-  return in.next_string(blif) && read_stats(in, s) && in.complete();
-}
-
 }  // namespace
 
 MlsResult optimize_blif(const MlsRequest& req) {
-  MlsResult res;
-  const bool cacheable = req.cacheable() && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "mls";
-    key.input = cache::digest_bytes(req.blif);
-    key.config = config_digest(req.options);
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      if (deserialize(*hit, res.blif, res.stats)) {
-        res.cached = true;
+  return detail::cached_call<MlsResult>(
+      req.cacheable(), [&] { return make_key(req.blif, req.options); },
+      [&] {
+        MlsResult res;
+        network::Network net;
+        try {
+          net = network::parse_blif(req.blif);
+        } catch (const std::exception& e) {
+          res.status = util::Status::parse_error(e.what());
+          return res;
+        }
+        res.stats = mls::optimize(net, req.options);
+        res.blif = network::write_blif(net);
         return res;
-      }
-    }
-  }
-  network::Network net;
-  try {
-    net = network::parse_blif(req.blif);
-  } catch (const std::exception& e) {
-    res.status = util::Status::parse_error(e.what());
-    return res;
-  }
-  res.stats = mls::optimize(net, req.options);
-  res.blif = network::write_blif(net);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res.blif, res.stats));
-  return res;
+      },
+      [](std::string& out, const MlsResult& res) {
+        append_payload(out, res.blif, res.stats);
+      },
+      [](cache::RecordReader& in, MlsResult& res) {
+        return read_payload(in, res.blif, res.stats);
+      },
+      // The payload has no status: a stored parse failure would replay
+      // as an empty success.
+      [](const MlsResult& res) { return res.status.ok(); });
 }
 
 MlsNetworkResult optimize_network(network::Network& net,
                                   const mls::ScriptOptions& opt,
                                   bool use_cache) {
-  MlsNetworkResult res;
-  const bool cacheable = use_cache && cache::enabled();
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "mls";
-    key.input = cache::digest_bytes(network::write_blif(net));
-    key.config = config_digest(opt);
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      std::string blif;
-      if (deserialize(*hit, blif, res.stats)) {
-        net = network::parse_blif(blif);
-        res.cached = true;
-        return res;
-      }
-    }
-  }
-  // Miss: optimize in place -- bit-for-bit the uncached code path.
-  res.stats = mls::optimize(net, opt);
-  if (cacheable)
-    cache::Cache::global().insert(key,
-                                  serialize(network::write_blif(net), res.stats));
+  // Miss: optimize in place -- bit-for-bit the uncached code path. Hit:
+  // replace `net` by the cached canonical BLIF; a payload whose BLIF does
+  // not parse is a miss, like any other malformed entry.
+  network::Network hit_net;
+  auto res = detail::cached_call<MlsNetworkResult>(
+      use_cache, [&] { return make_key(network::write_blif(net), opt); },
+      [&] {
+        MlsNetworkResult miss;
+        miss.stats = mls::optimize(net, opt);
+        return miss;
+      },
+      [&](std::string& out, const MlsNetworkResult& r) {
+        append_payload(out, network::write_blif(net), r.stats);
+      },
+      [&](cache::RecordReader& in, MlsNetworkResult& r) {
+        std::string blif;
+        if (!read_payload(in, blif, r.stats)) return false;
+        try {
+          hit_net = network::parse_blif(blif);
+        } catch (const std::exception&) {
+          return false;
+        }
+        return true;
+      });
+  if (res.cached) net = std::move(hit_net);
   return res;
 }
 

@@ -1,5 +1,6 @@
 #include "api/place.hpp"
 
+#include "api/detail.hpp"
 #include "cache/cache.hpp"
 #include "place/wirelength.hpp"
 
@@ -23,59 +24,46 @@ cache::Digest128 config_digest(const PlaceRequest& req) {
   return h.finish();
 }
 
-std::string serialize(const PlaceResult& res) {
-  std::string out;
+void append_payload(std::string& out, const PlaceResult& res) {
   cache::append_i64(out, static_cast<std::int64_t>(res.placement.col.size()));
   for (const int c : res.placement.col) cache::append_i64(out, c);
   for (const int r : res.placement.row) cache::append_i64(out, r);
   cache::append_f64(out, res.hpwl);
-  return out;
 }
 
-bool deserialize(std::string_view bytes, PlaceResult& res) {
-  cache::RecordReader in(bytes);
+bool read_payload(cache::RecordReader& in, PlaceResult& res) {
   std::int64_t n = 0;
   if (!in.next_i64(n) || n < 0) return false;
-  res.placement.col.resize(static_cast<std::size_t>(n));
-  res.placement.row.resize(static_cast<std::size_t>(n));
-  for (auto& c : res.placement.col) {
-    std::int64_t v = 0;
-    if (!in.next_i64(v)) return false;
-    c = static_cast<int>(v);
+  // Grow record by record: `n` comes from cache bytes, so a lying count
+  // runs out of payload instead of sizing an allocation.
+  for (auto* coords : {&res.placement.col, &res.placement.row}) {
+    for (std::int64_t k = 0; k < n; ++k) {
+      std::int64_t v = 0;
+      if (!in.next_i64(v)) return false;
+      coords->push_back(static_cast<int>(v));
+    }
   }
-  for (auto& r : res.placement.row) {
-    std::int64_t v = 0;
-    if (!in.next_i64(v)) return false;
-    r = static_cast<int>(v);
-  }
-  return in.next_f64(res.hpwl) && in.complete();
+  return in.next_f64(res.hpwl);
 }
 
 }  // namespace
 
 PlaceResult place_and_legalize(const gen::PlacementProblem& problem,
                                const PlaceRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled() &&
-                         req.options.budget == nullptr;
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "place";
-    key.input = placement_problem_digest(problem);
-    key.config = config_digest(req);
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      PlaceResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
+  return detail::cached_call<PlaceResult>(
+      req.cacheable() && req.options.budget == nullptr,
+      [&] {
+        return cache::CacheKey{"place", placement_problem_digest(problem),
+                               config_digest(req)};
+      },
+      [&] {
+        PlaceResult res;
+        const auto continuous = place::place_quadratic(problem, req.options);
+        res.placement = place::legalize(problem, continuous, req.grid);
+        res.hpwl = place::hpwl(problem, res.placement.to_continuous(req.grid));
         return res;
-      }
-    }
-  }
-  PlaceResult res;
-  const auto continuous = place::place_quadratic(problem, req.options);
-  res.placement = place::legalize(problem, continuous, req.grid);
-  res.hpwl = place::hpwl(problem, res.placement.to_continuous(req.grid));
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+      },
+      append_payload, read_payload);
 }
 
 cache::Digest128 placement_problem_digest(const gen::PlacementProblem& p) {

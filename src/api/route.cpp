@@ -27,8 +27,8 @@ cache::Digest128 config_digest(const route::RouterOptions& opt) {
   return h.finish();
 }
 
-std::string serialize(const route::RouteSolution& sol) {
-  std::string out;
+void append_payload(std::string& out, const RouteResult& res) {
+  const route::RouteSolution& sol = res.solution;
   cache::append_i64(out, static_cast<std::int64_t>(sol.nets.size()));
   for (const auto& net : sol.nets) {
     cache::append_i64(out, net.net_id);
@@ -48,15 +48,15 @@ std::string serialize(const route::RouteSolution& sol) {
   cache::append_i64(out, sol.stats.total_vias);
   cache::append_i64(out, sol.stats.expansions);
   detail::append_status(out, sol.status);
-  return out;
 }
 
-bool deserialize(std::string_view bytes, route::RouteSolution& sol) {
-  cache::RecordReader in(bytes);
+bool read_payload(cache::RecordReader& in, RouteResult& res) {
+  route::RouteSolution& sol = res.solution;
   std::int64_t num_nets = 0;
   if (!in.next_i64(num_nets) || num_nets < 0) return false;
-  sol.nets.clear();
-  sol.nets.reserve(static_cast<std::size_t>(num_nets));
+  // Nets and cells grow record by record: the counts come from cache
+  // bytes, so a lying count runs out of payload instead of sizing an
+  // allocation.
   for (std::int64_t k = 0; k < num_nets; ++k) {
     route::NetRoute net;
     std::int64_t id = 0, routed = 0, cells = 0;
@@ -65,7 +65,6 @@ bool deserialize(std::string_view bytes, route::RouteSolution& sol) {
       return false;
     net.net_id = static_cast<int>(id);
     net.routed = routed != 0;
-    net.cells.reserve(static_cast<std::size_t>(cells));
     for (std::int64_t c = 0; c < cells; ++c) {
       std::int64_t x = 0, y = 0, layer = 0;
       if (!in.next_i64(x) || !in.next_i64(y) || !in.next_i64(layer))
@@ -80,7 +79,7 @@ bool deserialize(std::string_view bytes, route::RouteSolution& sol) {
   if (!in.next_i64(routed) || !in.next_i64(failed) || !in.next_i64(ripups) ||
       !in.next_i64(iters) || !in.next_f64(sol.stats.total_wire) ||
       !in.next_i64(vias) || !in.next_i64(expansions) ||
-      !detail::read_status(in, sol.status) || !in.complete())
+      !detail::read_status(in, sol.status))
     return false;
   sol.stats.routed = static_cast<int>(routed);
   sol.stats.failed = static_cast<int>(failed);
@@ -95,25 +94,18 @@ bool deserialize(std::string_view bytes, route::RouteSolution& sol) {
 
 RouteResult route_nets(const gen::RoutingProblem& problem,
                        const RouteRequest& req) {
-  const bool cacheable = req.cacheable() && cache::enabled() &&
-                         req.options.budget == nullptr;
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "route";
-    key.input = routing_problem_digest(problem);
-    key.config = config_digest(req.options);
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      RouteResult res;
-      if (deserialize(*hit, res.solution)) {
-        res.cached = true;
+  return detail::cached_call<RouteResult>(
+      req.cacheable() && req.options.budget == nullptr,
+      [&] {
+        return cache::CacheKey{"route", routing_problem_digest(problem),
+                               config_digest(req.options)};
+      },
+      [&] {
+        RouteResult res;
+        res.solution = route::route_all(problem, req.options);
         return res;
-      }
-    }
-  }
-  RouteResult res;
-  res.solution = route::route_all(problem, req.options);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res.solution));
-  return res;
+      },
+      append_payload, read_payload);
 }
 
 cache::Digest128 routing_problem_digest(const gen::RoutingProblem& p) {

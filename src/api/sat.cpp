@@ -13,19 +13,16 @@ namespace {
 
 constexpr std::uint64_t kSatFormatVersion = 1;
 
-std::string serialize(const SatResult& res) {
-  std::string out;
+void append_payload(std::string& out, const SatResult& res) {
   cache::append_record(out, res.output);
   cache::append_i64(out, res.exit_code);
   detail::append_status(out, res.status);
-  return out;
 }
 
-bool deserialize(std::string_view bytes, SatResult& res) {
-  cache::RecordReader in(bytes);
+bool read_payload(cache::RecordReader& in, SatResult& res) {
   std::int64_t exit_code = 0;
   if (!in.next_string(res.output) || !in.next_i64(exit_code) ||
-      !detail::read_status(in, res.status) || !in.complete())
+      !detail::read_status(in, res.status))
     return false;
   res.exit_code = static_cast<int>(exit_code);
   return true;
@@ -79,35 +76,24 @@ SatResult run_solver(const SatRequest& req) {
 SatResult solve_sat(const SatRequest& req) {
   // A wall-clock deadline (or an external budget the caller wired into
   // options) makes the stopping point non-reproducible: bypass the cache.
-  const bool cacheable = req.cacheable() && cache::enabled() &&
-                         req.options.budget == nullptr;
-  cache::CacheKey key;
-  if (cacheable) {
-    key.engine = "sat";
-    key.input = cache::digest_bytes(req.dimacs);
-    cache::Hasher h;
-    h.u64(kSatFormatVersion)
-        .boolean(req.options.use_vsids)
-        .boolean(req.options.use_restarts)
-        .boolean(req.options.use_phase_saving)
-        .f64(req.options.var_decay)
-        .f64(req.options.clause_decay)
-        .i32(req.options.restart_base)
-        .i64(req.options.conflict_limit)
-        .i64(req.prop_limit)
-        .boolean(req.show_stats);
-    key.config = h.finish();
-    if (const auto hit = cache::Cache::global().lookup(key)) {
-      SatResult res;
-      if (deserialize(*hit, res)) {
-        res.cached = true;
-        return res;
-      }
-    }
-  }
-  SatResult res = run_solver(req);
-  if (cacheable) cache::Cache::global().insert(key, serialize(res));
-  return res;
+  return detail::cached_call<SatResult>(
+      req.cacheable() && req.options.budget == nullptr,
+      [&] {
+        cache::Hasher h;
+        h.u64(kSatFormatVersion)
+            .boolean(req.options.use_vsids)
+            .boolean(req.options.use_restarts)
+            .boolean(req.options.use_phase_saving)
+            .f64(req.options.var_decay)
+            .f64(req.options.clause_decay)
+            .i32(req.options.restart_base)
+            .i64(req.options.conflict_limit)
+            .i64(req.prop_limit)
+            .boolean(req.show_stats);
+        return cache::CacheKey{"sat", cache::digest_bytes(req.dimacs),
+                               h.finish()};
+      },
+      [&] { return run_solver(req); }, append_payload, read_payload);
 }
 
 }  // namespace l2l::api

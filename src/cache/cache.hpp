@@ -1,6 +1,6 @@
 #pragma once
 // l2l::cache -- the content-addressed result cache behind every engine
-// facade (see l2l/api.hpp) and the grading-queue submission dedup.
+// facade (see l2l/api.hpp) and the grading service's cross-run replay.
 //
 // The MOOC graded tens of thousands of near-identical ASCII submissions;
 // the ROADMAP north star is "never compute the same answer twice". The
@@ -20,10 +20,10 @@
 // entirely for wall-clock-limited runs, whose truncation point is not
 // reproducible. Hit/miss/evict counters flow through l2l::obs per-thread
 // shards and export byte-identically at any L2L_THREADS *provided the
-// call sequence is deterministic*; the parallel consumers (grading queue,
-// batch graders) arrange that by deduplicating work in a sequential
-// pre-pass, so which lookups hit and which miss never depends on the
-// thread schedule.
+// call sequence is deterministic*; mooc::GradingService arranges that by
+// looking up while it schedules a tick and inserting in its sequential
+// fold, so which lookups hit and which miss never depends on the thread
+// schedule.
 //
 // In-memory tier: an LRU sharded by key hash (fixed shard count,
 // independent of L2L_THREADS), bounded in entries and bytes per shard.

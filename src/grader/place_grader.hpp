@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "grader/batch.hpp"
+#include "gen/placement_gen.hpp"
 #include "place/legalize.hpp"
 #include "util/status.hpp"
 
@@ -74,14 +74,5 @@ PlaceGrade grade_placement_text(const gen::PlacementProblem& problem,
                                 const place::Grid& grid,
                                 const std::string& text,
                                 double reference_hpwl);
-
-/// Score many independent submissions against the same problem, spread
-/// across the worker pool. Result order matches submission order and is
-/// identical at any L2L_THREADS. Each submission is isolated: exception
-/// barrier plus a bounded retry loop (see BatchOptions).
-std::vector<PlaceGrade> grade_placement_batch(
-    const gen::PlacementProblem& problem, const place::Grid& grid,
-    const std::vector<std::string>& submissions, double reference_hpwl,
-    const BatchOptions& opt = {});
 
 }  // namespace l2l::grader

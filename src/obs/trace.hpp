@@ -12,7 +12,7 @@
 // Chrome-trace export is the standard catapult format: open the file at
 // chrome://tracing or https://ui.perfetto.dev and every span renders as a
 // complete ("ph":"X") event on its thread's track. See DESIGN.md
-// ("Observability") for a walkthrough of a grading-queue drain trace.
+// ("Observability") for what a grading-service run's trace shows.
 
 #include <cstdint>
 #include <string>
