@@ -1,5 +1,6 @@
 // Two-level minimization benchmarks: the espresso loop vs. the exact
-// Quine-McCluskey baseline, the single-pass (no REDUCE) ablation, and the
+// Quine-McCluskey baseline, the single-pass (no REDUCE) ablation, the
+// bitset-vs-URP oracle crossover that sets the bitset width limit, and the
 // raw cube-kernel microbenches that track the PCN data-layout trajectory
 // (see DESIGN.md "Data layout & kernels").
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "cubes/cube.hpp"
+#include "espresso/detail.hpp"
 #include "espresso/minimize.hpp"
 #include "espresso/qm.hpp"
 #include "gen/function_gen.hpp"
@@ -112,6 +114,47 @@ BENCHMARK(BM_EspressoHeuristic)
     ->Args({5, 1})
     ->Args({7, 0})
     ->Args({7, 1});
+
+void BM_EspressoOracle(benchmark::State& state) {
+  // BM_EspressoHeuristic's full loop with the oracle forced: arg 1 is
+  // 0 = minterm bitsets, 1 = URP covers. The widths where the two rows
+  // cross set the bitset limit in src/espresso/minimize.cpp.
+  const int vars = static_cast<int>(state.range(0));
+  const auto oracle = state.range(1) == 0 ? espresso::detail::Oracle::kBitset
+                                          : espresso::detail::Oracle::kUrp;
+  util::Rng rng(99);
+  const auto f = gen::random_cover(vars, 4 * vars, rng);
+  const cubes::Cover dc(vars);
+  for (auto _ : state) {
+    const auto m = espresso::detail::minimize(f, dc, {}, nullptr, oracle);
+    benchmark::DoNotOptimize(m.size());
+  }
+  state.SetLabel(state.range(1) == 0 ? "bitset" : "urp");
+}
+BENCHMARK(BM_EspressoOracle)
+    ->ArgsProduct({{8, 12, 14, 16}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_EspressoPlaShape(benchmark::State& state) {
+  // The semester benchmark's PLA jobs: 8 inputs, 16 ON cubes with every
+  // position uniformly 0/1/-, no DC. One iteration minimizes all 64
+  // seeded covers.
+  std::vector<cubes::Cover> covers;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    util::Rng rng(1000 + seed);
+    covers.push_back(gen::random_cover(8, 16, rng));
+  }
+  std::int64_t cubes_out = 0;
+  for (auto _ : state) {
+    cubes_out = 0;
+    for (const auto& f : covers) cubes_out += espresso::minimize(f).size();
+    benchmark::DoNotOptimize(cubes_out);
+  }
+  state.counters["cubes_out"] = static_cast<double>(cubes_out);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(covers.size()));
+}
+BENCHMARK(BM_EspressoPlaShape)->Unit(benchmark::kMicrosecond);
 
 void BM_ExactQuineMcCluskey(benchmark::State& state) {
   const int vars = static_cast<int>(state.range(0));

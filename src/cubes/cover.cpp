@@ -89,12 +89,6 @@ Cover Cover::cofactor(int var, bool phase) const {
   return out;
 }
 
-bool Cover::depends_on(int var) const {
-  for (const auto& c : cubes_)
-    if (c.code(var) != Pcn::kDontCare) return true;
-  return false;
-}
-
 void Cover::remove_contained_cubes() {
   std::vector<bool> dead(cubes_.size(), false);
   for (std::size_t i = 0; i < cubes_.size(); ++i) {

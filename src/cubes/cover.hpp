@@ -53,10 +53,6 @@ class Cover {
   /// Cofactor of the whole cover with respect to literal (var, phase).
   Cover cofactor(int var, bool phase) const;
 
-  /// Shannon expansion building blocks: the cover restricted to cubes that
-  /// do / don't depend on `var` (used by the URP merge step).
-  bool depends_on(int var) const;
-
   /// Drop cubes single-cube-contained in another cube of the cover, and
   /// duplicate cubes. (Not a full irredundancy pass -- see espresso.)
   void remove_contained_cubes();

@@ -25,6 +25,7 @@
 // workload) live entirely in the two inline words: no heap allocation.
 
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -65,10 +66,12 @@ class Cube {
   int num_vars() const { return num_vars_; }
 
   Pcn code(int var) const {
+    assert(var >= 0 && var < num_vars_);
     const auto v = static_cast<std::uint32_t>(var);
     return static_cast<Pcn>((words()[v >> kVarShift] >> field_shift(v)) & 3u);
   }
   void set_code(int var, Pcn c) {
+    assert(var >= 0 && var < num_vars_);
     const auto v = static_cast<std::uint32_t>(var);
     std::uint64_t& w = words()[v >> kVarShift];
     const int s = field_shift(v);

@@ -382,12 +382,16 @@ TEST_F(ApiCacheTest, PlaceGradeReplaysAndBypasses) {
 
 // ---- planted disk entries ------------------------------------------------
 
-/// A scratch cache directory, installed as the global disk tier.
+/// A scratch cache directory, installed as the global disk tier. Each test
+/// names its own, so concurrent ctest jobs never share one.
 class PlantedEntryTest : public ApiCacheTest {
  protected:
   void SetUp() override {
     ApiCacheTest::SetUp();
-    dir_ = (fs::temp_directory_path() / "l2l_api_test_planted").string();
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = (fs::temp_directory_path() /
+            (std::string("l2l_api_test_planted_") + info->name()))
+               .string();
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     cache::Cache::global().set_disk_dir(dir_);

@@ -11,6 +11,9 @@
 //   espresso      -- minimize() output must stay equivalent to its input
 //                    (and stay within the don't-care bounds when a DC
 //                    cover is supplied)
+//   espresso's two oracles -- EXPAND / IRREDUNDANT / REDUCE / minimize
+//                    forced onto minterm bitsets and onto URP cube covers
+//                    must return cube-for-cube identical covers
 //   exact ESOP    -- esop::synthesize_minimum must return a proven-minimal
 //                    XOR cover that folds back to the same truth table and
 //                    respects the theorem-backed size bounds against the
@@ -24,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -31,6 +35,8 @@
 #include "bdd/manager.hpp"
 #include "cubes/cover.hpp"
 #include "esop/esop.hpp"
+#include "cubes/urp.hpp"
+#include "espresso/detail.hpp"
 #include "espresso/minimize.hpp"
 #include "gen/function_gen.hpp"
 #include "network/bdd_build.hpp"
@@ -495,6 +501,125 @@ TEST(DifferentialTest, SemaStuckAtVerdictsAreBddConfirmed) {
   // constants (an all-don't-care cube is a tautology) often enough that
   // a zero-verdict run means the generator or the analyzer broke.
   EXPECT_GT(verdicts, 0) << "no stuck-at verdicts across 100 seeds";
+}
+
+// ---- espresso: bitset oracle vs URP oracle ------------------------------
+
+namespace espresso_detail = l2l::espresso::detail;
+using espresso_detail::Oracle;
+
+/// Random cube over n variables: each variable is a literal with
+/// probability ~density/8, of either phase.
+Cube random_cube(int n, int density, l2l::util::Rng& rng) {
+  Cube c(n);
+  for (int v = 0; v < n; ++v)
+    if (static_cast<int>(rng.next_below(8)) < density)
+      c.set_code(v, rng.next_bool() ? Pcn::kPos : Pcn::kNeg);
+  return c;
+}
+
+Cover random_sparse_cover(int n, int k, int density, l2l::util::Rng& rng) {
+  Cover f(n);
+  for (int i = 0; i < k; ++i) f.add(random_cube(n, density, rng));
+  return f;
+}
+
+/// Every pass, and minimize under three option sets, on both oracles:
+/// returns the first disagreement, or nullopt.
+std::optional<std::string> oracle_mismatch(const Cover& f, const Cover& dc) {
+  const auto same = [](const Cover& a, const Cover& b) {
+    return a.num_vars() == b.num_vars() && a.cubes() == b.cubes();
+  };
+  const Cover offset = l2l::cubes::complement(f | dc);
+  if (!same(espresso_detail::expand(f, offset, Oracle::kBitset),
+            espresso_detail::expand(f, offset, Oracle::kUrp)))
+    return "expand";
+  const Cover expanded = l2l::espresso::expand(f, offset);
+  for (const Cover* in : {&f, &expanded}) {
+    if (!same(espresso_detail::irredundant(*in, dc, Oracle::kBitset),
+              espresso_detail::irredundant(*in, dc, Oracle::kUrp)))
+      return "irredundant";
+    if (!same(espresso_detail::reduce(*in, dc, Oracle::kBitset),
+              espresso_detail::reduce(*in, dc, Oracle::kUrp)))
+      return "reduce";
+  }
+  l2l::espresso::MinimizeOptions single, capped;
+  single.single_pass = true;
+  capped.max_iterations = 1;
+  for (const auto& opt : {l2l::espresso::MinimizeOptions{}, single, capped}) {
+    l2l::espresso::MinimizeStats sb, su;
+    const Cover gb = espresso_detail::minimize(f, dc, opt, &sb, Oracle::kBitset);
+    const Cover gu = espresso_detail::minimize(f, dc, opt, &su, Oracle::kUrp);
+    if (!same(gb, gu)) return "minimize";
+    if (sb.iterations != su.iterations || sb.initial_cubes != su.initial_cubes ||
+        sb.final_cubes != su.final_cubes ||
+        sb.initial_literals != su.initial_literals ||
+        sb.final_literals != su.final_literals)
+      return "minimize stats";
+    if (!same(l2l::espresso::minimize(f, dc, opt, nullptr), gb))
+      return "minimize (auto oracle)";
+    // is_legal_implementation stays on URP: an independent check.
+    if (!l2l::espresso::is_legal_implementation(gb, f, dc))
+      return "minimize result is not a legal implementation";
+  }
+  return std::nullopt;
+}
+
+// Both sides of the automatic limit: n = 1 .. bitset_max_vars() + 1, with
+// and without a DC cover, dense and sparse cubes.
+TEST(EspressoOracleTest, BitsetAndUrpAgreeCubeForCube) {
+  const int max_n = espresso_detail::bitset_max_vars() + 1;
+  int checked = 0;
+  for (int n = 1; n <= max_n; ++n) {
+    const int trials = n <= 8 ? 48 : 12;
+    for (int t = 0; t < trials; ++t) {
+      const std::uint64_t seed = 0xe59ull * 1000003ull + 100 * n + t;
+      l2l::util::Rng rng(seed);
+      const int density = 2 + static_cast<int>(rng.next_below(5));  // 2..6
+      const int k = 1 + static_cast<int>(rng.next_below(n <= 8 ? 16 : 10));
+      const Cover f = random_sparse_cover(n, k, density, rng);
+      const Cover dc = t % 2 == 1
+                           ? random_sparse_cover(
+                                 n, 1 + static_cast<int>(rng.next_below(4)),
+                                 density, rng)
+                           : Cover(n);
+      const auto why = oracle_mismatch(f, dc);
+      ASSERT_EQ(why, std::nullopt)
+          << "n=" << n << " seed=" << seed << ": " << why.value_or("")
+          << "\nf:\n" << f.to_string() << "dc:\n" << dc.to_string();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// The corners: constant 0 and 1, a DC cover equal to everything, one
+// literal, and an ON cube that the DC cover swallows.
+TEST(EspressoOracleTest, ConstantAndDcCorners) {
+  for (int n = 1; n <= 8; ++n) {
+    Cube lit(n);
+    lit.set_code(n - 1, Pcn::kPos);
+    const Cover one_lit(n, {lit});
+    for (const Cover& f : {Cover(n), Cover::universal(n), one_lit}) {
+      for (const Cover& dc : {Cover(n), Cover::universal(n), one_lit}) {
+        const auto why = oracle_mismatch(f, dc);
+        EXPECT_EQ(why, std::nullopt) << "n=" << n << "\nf:\n" << f.to_string()
+                                     << "dc:\n" << dc.to_string();
+      }
+    }
+  }
+}
+
+TEST(EspressoOracleTest, ForcedBitsetRejectsWideCovers) {
+  const int n = espresso_detail::bitset_forced_max_vars() + 1;
+  EXPECT_THROW(espresso_detail::irredundant(Cover::universal(n), Cover(n),
+                                            Oracle::kBitset),
+               std::invalid_argument);
+  // The automatic choice falls back to URP instead.
+  EXPECT_EQ(espresso_detail::irredundant(Cover::universal(n), Cover(n),
+                                         Oracle::kAuto)
+                .size(),
+            1);
 }
 
 }  // namespace
